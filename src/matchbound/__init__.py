@@ -17,12 +17,12 @@ from .counting import (MarginalTable, MaskProfiler, kdd_profile, matching_margin
                        profile_convolution, profile_from_json, profile_to_json,
                        umc_extremal_profile)
 from .errors import CapExceeded, ParseError
-from .graphs import (BipartiteGraph, Graph, Multigraph, as_bipartite,
+from .graphs import (BipartiteGraph, Graph, as_bipartite,
                      bipartite_double_cover, complete_bipartite, cycle_graph,
                      disjoint_union, emit_bipartite, emit_edge_list, emit_graph6,
                      make_umc_extremal, parse_bipartite, parse_edge_list,
                      parse_graph6, random_bipartite, random_graph, random_regular)
-from .prooflab import (ChainAudit, DistributionAudit, gx_step_audit,
+from .prooflab import (ChainAudit, DistributionAudit, Enumeration, gx_step_audit,
                        inequality_chain_audit, middle_step_audit, rk_formula_audit,
                        step_refinement_audit, tiny_bipartite_catalog,
                        zx_distribution_audit)

@@ -206,11 +206,10 @@ def phi_wild(r: float, t: float, interp: str = "gamma") -> float:
     return (lead - tail) / t
 
 
-def wild_bound(b: BipartiteGraph, ell: int, interp: str = "gamma",
-               memo_cap: int | None = None) -> float:
+def wild_bound(b: BipartiteGraph, ell: int, interp: str = "gamma") -> float:
     """Conjectured bound sum_x phi_wild(H(f(x)), (ell/M)*2^H(f(x))) under the
     uniform ell-matching distribution."""
-    table = matching_marginals(b, ell, memo_cap)
+    table = matching_marginals(b, ell)
     m = b.size_y
     total = 0.0
     for x in range(b.size_x):
@@ -291,10 +290,10 @@ def reports_to_csv(reports) -> str:
     return out.getvalue()
 
 
-def bound_report(graph_or_bip, ell: int, graph_id: str = "",
-                 phi_interp: str = "gamma",
-                 memo_cap: int | None = None) -> BoundReport:
-    """Evaluate every applicable bound against the exact count.
+def bound_report(graph_or_bip, ells, graph_id: str = "",
+                 phi_interp: str = "gamma") -> list[BoundReport]:
+    """Evaluate every applicable bound against the exact count, one report
+    per ell in ells, from a single exact profile.
 
     Inapplicable bounds are flagged rather than raised. A plain Graph that
     happens to be 2-colorable gets the bipartite bounds via the canonical
@@ -306,13 +305,18 @@ def bound_report(graph_or_bip, ell: int, graph_id: str = "",
     else:
         g = graph_or_bip
         bip = as_bipartite(g)
-
-    exact_count: int | None
     try:
-        prof = matching_profile(g, memo_cap)
-        exact_count = prof[ell] if 0 <= ell < len(prof) else 0
+        prof = matching_profile(g)
     except CapExceeded:
-        exact_count = None
+        prof = None
+    return [_report(g, bip, prof, ell, graph_id, phi_interp) for ell in ells]
+
+
+def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
+            ell: int, graph_id: str, phi_interp: str) -> BoundReport:
+    exact_count: int | None = None
+    if prof is not None:
+        exact_count = prof[ell] if 0 <= ell < len(prof) else 0
     exact_log2 = log2_int(exact_count) if exact_count else None
 
     report = BoundReport(graph_id=graph_id, ell=ell,
@@ -351,7 +355,7 @@ def bound_report(graph_or_bip, ell: int, graph_id: str = "",
         gen_ok = min(gen.degrees_x) >= 1 and gen.size_x == ell <= gen.size_y
         add("genminc", gen_ok, lambda: genminc_bound(gen, ell), conjectural=True)
         add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
-            lambda: wild_bound(gen, ell, phi_interp, memo_cap), conjectural=True)
+            lambda: wild_bound(gen, ell, phi_interp), conjectural=True)
     else:
         add("bregman", False, None)
         add("bipartite", False, None)

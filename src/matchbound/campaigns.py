@@ -35,7 +35,10 @@ class CampaignConfig:
     family: str = "random"               # "random" | "sharp"
     ell_values: list[int] | None = None  # umc: None means all 0..N/2
     phi_interp: str = "gamma"
-    strict: bool = False
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,11 +87,6 @@ class CampaignReport:
     violations: list = field(default_factory=list)
     sharp_candidates: list = field(default_factory=list)
     runtime_seconds: float = 0.0
-
-    @property
-    def min_slack(self) -> float | None:
-        finite = [s for s in self.worst_slack_bits if s is not None]
-        return min(finite) if finite else None
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         doc = {
@@ -148,18 +146,18 @@ def run_umc_campaign(cfg: CampaignConfig) -> CampaignReport:
     return report
 
 
-def _random_instance(ell: int, m: int, p: float, seed) -> BipartiteGraph:
+def _random_instance(ell: int, m: int, p: float, seed) -> tuple[BipartiteGraph, int]:
     """A seeded bipartite instance with |X| = ell, no isolated X-vertex, and
-    at least one X-saturating matching."""
+    at least one X-saturating matching, with its count of such matchings."""
     rng = random.Random(seed)
     for _ in range(GENERATOR_RETRY_CAP):
         edges = [(x, y) for x in range(ell) for y in range(m) if rng.random() < p]
         cand = BipartiteGraph(ell, m, edges)
         if min(cand.degrees_x) < 1:
             continue
-        prof = matching_profile(cand.to_graph())
-        if prof[ell] > 0:
-            return cand
+        cnt = matching_profile(cand.to_graph())[ell]
+        if cnt > 0:
+            return cand, cnt
     raise CapExceeded(
         f"no usable instance in {GENERATOR_RETRY_CAP} draws (ell={ell}, M={m}, p={p})")
 
@@ -210,15 +208,15 @@ def run_genminc_campaign(cfg: CampaignConfig) -> CampaignReport:
     report = CampaignReport(conjecture=cfg.conjecture, config=cfg)
 
     if cfg.family == "sharp":
-        instances = _sharp_family(ell, m, cfg.samples)
+        instances = [(inst, matching_profile(inst.to_graph())[ell])
+                     for inst in _sharp_family(ell, m, cfg.samples)]
     elif cfg.family == "random":
         instances = [_random_instance(ell, m, cfg.edge_prob, cfg.seed + idx)
                      for idx in range(cfg.samples)]
     else:
         raise ValueError(f"unknown family {cfg.family!r}")
 
-    for inst in instances:
-        cnt = matching_profile(inst.to_graph())[ell]
+    for inst, cnt in instances:
         exact = log2_int(cnt)
         worst = None
         for name, value in _bounds_for(cfg, inst, ell):

@@ -17,7 +17,8 @@ from .counting import matching_marginals, matching_profile, profile_to_json
 from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, bipartite_double_cover, emit_bipartite,
                      parse_bipartite, parse_edge_list, parse_graph6)
-from .prooflab import inequality_chain_audit, rk_formula_audit, zx_distribution_audit
+from .prooflab import (Enumeration, inequality_chain_audit, rk_formula_audit,
+                       zx_distribution_audit)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,8 +67,9 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _ell_list(spec: str, max_ell: int) -> list[int]:
-    if spec == "all":
+def _ell_list(spec: str, max_ell: int | None = None) -> list[int]:
+    """"all" (when max_ell is given) or comma-separated integers."""
+    if spec == "all" and max_ell is not None:
         return list(range(max_ell + 1))
     try:
         return [int(part) for part in spec.split(",")]
@@ -145,8 +147,7 @@ def _cmd_bounds(args) -> int:
     g, name = _read_graph(args.graph, args.format)
     n = g.size_x + g.size_y if isinstance(g, BipartiteGraph) else g.n
     ells = _ell_list(args.ell, n // 2)
-    reports = [bound_report(g, ell, graph_id=name, phi_interp=args.phi_interp)
-               for ell in ells]
+    reports = bound_report(g, ells, graph_id=name, phi_interp=args.phi_interp)
     if args.json:
         doc = {"schema": 1, "reports": [r.to_json_dict() for r in reports]}
         _write(json.dumps(doc, indent=2) + "\n", args.out)
@@ -185,12 +186,11 @@ def _cmd_prooflab(args) -> int:
     g, _name = _read_graph(args.graph, args.format)
     if not isinstance(g, BipartiteGraph):
         raise _UsageError("prooflab needs a bipartite input (--format bipartite)")
-    ell = args.ell
-    chain = inequality_chain_audit(g, ell)
-    zx = [zx_distribution_audit(g, ell, x).to_json_dict() for x in range(g.size_x)]
-    marginals = matching_marginals(g, ell)
-    rk = [rk_formula_audit(g, ell, x, y).to_json_dict()
-          for x, y in g.edges if marginals.p[x][y]]
+    enum = Enumeration(g, args.ell)
+    chain = inequality_chain_audit(enum)
+    zx = [zx_distribution_audit(enum, x).to_json_dict() for x in range(g.size_x)]
+    rk = [rk_formula_audit(enum, x, y).to_json_dict()
+          for x, y in g.edges if enum.p[x][y]]
     doc = {"schema": 1, "chain": chain.to_json_dict(),
            "sizeDistributions": zx, "availabilityFormulas": rk}
     _write(json.dumps(doc, indent=2) + "\n", args.out)
@@ -200,18 +200,21 @@ def _cmd_prooflab(args) -> int:
 def _cmd_campaign(args) -> int:
     ell_values = None
     ell = None
-    if args.ell is not None:
-        if args.conjecture == "umc":
-            if args.ell != "all":
-                ell_values = [int(part) for part in args.ell.split(",")]
-        else:
-            ell = int(args.ell)
-    cfg = CampaignConfig(
-        conjecture=args.conjecture, samples=args.samples, seed=args.seed,
-        n_vertices=args.N, d=args.d, ell=ell, size_y=args.M,
-        edge_prob=args.edge_prob, family=args.family, ell_values=ell_values,
-        phi_interp=args.phi_interp, strict=args.strict)
+    if args.conjecture == "umc":
+        if args.ell not in (None, "all"):
+            ell_values = _ell_list(args.ell)
+    elif args.ell is not None:
+        values = _ell_list(args.ell)
+        if len(values) != 1:
+            raise _UsageError(f"bad --ell value {args.ell!r}: {args.conjecture} "
+                              "takes a single integer")
+        ell = values[0]
     try:
+        cfg = CampaignConfig(
+            conjecture=args.conjecture, samples=args.samples, seed=args.seed,
+            n_vertices=args.N, d=args.d, ell=ell, size_y=args.M,
+            edge_prob=args.edge_prob, family=args.family, ell_values=ell_values,
+            phi_interp=args.phi_interp)
         report = run_campaign(cfg)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None

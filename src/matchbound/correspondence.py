@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .counting import matching_profile
 from .errors import CapExceeded
-from .graphs import Graph, Multigraph, bipartite_double_cover
+from .graphs import Graph, bipartite_double_cover
 
 DEFAULT_COUNT_CAP = 10_000
 DEFAULT_COVER_CAP = 100_000
@@ -57,9 +57,6 @@ class UnionPattern:
             return 0
         op = self.odd_path_components
         return 2 ** (self.non_two_cycle_components - op) * math.comb(op, op // 2)
-
-    def to_multigraph(self) -> Multigraph:
-        return Multigraph(self.n, dict(self.edges))
 
     def to_json_dict(self) -> dict:
         return {

@@ -25,7 +25,12 @@ def _memo_cap(override: int | None) -> int:
     if override is not None:
         return override
     env = os.environ.get(MEMO_CAP_ENV)
-    return int(env) if env else DEFAULT_MEMO_CAP
+    if not env:
+        return DEFAULT_MEMO_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{MEMO_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 class MaskProfiler:
@@ -226,8 +231,17 @@ class MarginalTable:
         }
 
 
-def matching_marginals(b: BipartiteGraph, ell: int,
-                       memo_cap: int | None = None) -> MarginalTable:
+def entropy_bits(probs) -> float:
+    """Shannon entropy in bits of exact probabilities, zeros skipped."""
+    h = 0.0
+    for pr in probs:
+        if pr:
+            val = float(pr)
+            h -= val * math.log2(val)
+    return h
+
+
+def matching_marginals(b: BipartiteGraph, ell: int) -> MarginalTable:
     """Exact rational marginals for the uniform ell-matching of b.
 
     Requires size_x == ell <= size_y, so every ell-matching saturates X and
@@ -238,7 +252,7 @@ def matching_marginals(b: BipartiteGraph, ell: int,
     if ell > b.size_y:
         raise ValueError(f"need ell <= size_y (got {ell} > {b.size_y})")
     g = b.to_graph()
-    profiler = MaskProfiler(g, memo_cap)
+    profiler = MaskProfiler(g)
     full = profiler.full_mask()
     total = profiler.count(full, ell)
     if total == 0:
@@ -249,12 +263,5 @@ def matching_marginals(b: BipartiteGraph, ell: int,
         p[x][y] = Fraction(profiler.count(sub, ell - 1), total)
     mu = [sum((p[x][y] for x in range(b.size_x)), Fraction(0)) for y in range(b.size_y)]
     nu = [1 - m for m in mu]
-    h_edge = []
-    for x in range(b.size_x):
-        h = 0.0
-        for y in range(b.size_y):
-            if p[x][y]:
-                val = float(p[x][y])
-                h -= val * math.log2(val)
-        h_edge.append(h)
-    return MarginalTable(ell=ell, p=p, mu=mu, nu=nu, h_edge=h_edge)
+    return MarginalTable(ell=ell, p=p, mu=mu, nu=nu,
+                         h_edge=[entropy_bits(row) for row in p])

@@ -9,7 +9,6 @@ from 0.
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from .errors import CapExceeded, ParseError
 
@@ -50,16 +49,9 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @property
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adj]
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.degrees)
 
     def is_regular(self) -> bool:
         degs = self.degrees
@@ -162,47 +154,28 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.size_x}x{self.size_y}, m={self.num_edges})"
 
 
-class Multigraph:
-    """Undirected multigraph: an edge multiset over vertices 0..n-1.
-
-    Only used for multiset unions of matching pairs, so multiplicities
-    stay at 1 or 2 in practice; the type allows any positive multiplicity.
-    """
-
-    __slots__ = ("n", "edge_mult")
-
-    def __init__(self, n: int, edge_mult: dict | None = None):
-        self.n = n
-        norm: Counter = Counter()
-        for (u, v), mult in (edge_mult or {}).items():
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range: ({u}, {v})")
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
-            norm[(min(u, v), max(u, v))] += mult
-        self.edge_mult = dict(sorted(norm.items()))
-
-    @property
-    def num_edges(self) -> int:
-        """Edge count with multiplicity."""
-        return sum(self.edge_mult.values())
-
-    def support_vertices(self) -> list[int]:
-        verts = set()
-        for u, v in self.edge_mult:
-            verts.add(u)
-            verts.add(v)
-        return sorted(verts)
-
-    def __repr__(self):
-        return f"Multigraph(n={self.n}, m={self.num_edges})"
-
-
 # ---------------------------------------------------------------------------
 # edge-list and bipartite text formats
 # ---------------------------------------------------------------------------
+
+def _edge_lines(lines) -> list[tuple[int, int]]:
+    """Two integers per line; the graph constructors check the values."""
+    edges = []
+    for ln in lines:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ParseError(f"malformed edge line: {ln!r}") from None
+        edges.append((u, v))
+    return edges
+
+
+def _build(cls, *args):
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header + "u v" lines format."""
@@ -220,26 +193,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"bad sizes in header: n={n}, m={m}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge line: {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed edge line: {ln!r}") from None
-        if u == v:
-            raise ParseError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range on line {ln!r}")
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise ParseError(f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges)
+    return _build(Graph, n, _edge_lines(lines[1:]))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -264,23 +218,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         raise ParseError(f"bad sizes in header: {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge line: {ln!r}")
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed edge line: {ln!r}") from None
-        if not (0 <= x < size_x and 0 <= y < size_y):
-            raise ParseError(f"vertex out of range on line {ln!r}")
-        if (x, y) in seen:
-            raise ParseError(f"duplicate edge ({x}, {y})")
-        seen.add((x, y))
-        edges.append((x, y))
-    return BipartiteGraph(size_x, size_y, edges)
+    return _build(BipartiteGraph, size_x, size_y, _edge_lines(lines[1:]))
 
 
 def emit_bipartite(b: BipartiteGraph) -> str:
@@ -353,6 +291,8 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= val < 64:
             raise ParseError(f"invalid character {ch!r} in graph6 body")
         bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise ParseError("nonzero padding bits in graph6 body")
     edges = []
     idx = 0
     for j in range(1, n):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .bounds import LOG2E, binary_entropy, log2_int, log_ratio, thm_bipartite_bound
-from .counting import MaskProfiler
+from .counting import entropy_bits, matching_profile
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
@@ -46,9 +46,10 @@ def _frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-class _Enumeration:
+class Enumeration:
     """All X-saturating matchings of b as partner tuples, plus the exact
-    joint tables over the uniform (matching, order) pair."""
+    joint tables over the uniform (matching, order) pair. Built once and
+    shared by every audit of (b, ell)."""
 
     def __init__(self, b: BipartiteGraph, ell: int):
         if b.size_x != ell:
@@ -90,14 +91,7 @@ class _Enumeration:
         self.mu = [sum((self.p[x][y] for x in range(ell)), Fraction(0))
                    for y in range(self.m)]
         self.nu = [1 - v for v in self.mu]
-
-    def partner_entropy(self, x: int) -> float:
-        h = 0.0
-        for y in range(self.m):
-            if self.p[x][y]:
-                val = float(self.p[x][y])
-                h -= val * math.log2(val)
-        return h
+        self._size_tables: dict[int, tuple] = {}
 
     def _outcomes(self, x: int):
         """Yield (partner, prefix, available-set) per (matching, order)."""
@@ -112,7 +106,15 @@ class _Enumeration:
     def size_tables(self, x: int):
         """Exact tables over the available-set size k:
         unconditional q[k], conditional-on-partner q_cond[y][k], and the
-        joint r[(k, y)] = Pr(size k and y still available)."""
+        joint r[(k, y)] = Pr(size k and y still available). Computed once
+        per x; callers must not modify them."""
+        if not 0 <= x < self.ell:
+            raise ValueError(f"x out of range: {x}")
+        if x not in self._size_tables:
+            self._size_tables[x] = self._compute_size_tables(x)
+        return self._size_tables[x]
+
+    def _compute_size_tables(self, x: int):
         q: dict[int, Fraction] = defaultdict(Fraction)
         q_cond: dict[int, dict[int, Fraction]] = defaultdict(lambda: defaultdict(Fraction))
         r: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
@@ -178,15 +180,12 @@ class DistributionAudit:
         }
 
 
-def zx_distribution_audit(b: BipartiteGraph, ell: int, x: int) -> DistributionAudit:
+def zx_distribution_audit(enum: Enumeration, x: int) -> DistributionAudit:
     """Distribution of the number of still-available Y-vertices when x is
     reached: zero below M-ell, exactly 1/ell on M-ell+1..M, and independent
     of x's partner."""
-    enum = _Enumeration(b, ell)
-    if not 0 <= x < ell:
-        raise ValueError(f"x out of range: {x}")
     q, q_cond, _r = enum.size_tables(x)
-    m = enum.m
+    m, ell = enum.m, enum.ell
     lo = m - ell + 1
     audit = DistributionAudit(x=x, q_table=q)
     audit.checks["zero-below-range"] = all(k >= lo for k, v in q.items() if v)
@@ -198,16 +197,13 @@ def zx_distribution_audit(b: BipartiteGraph, ell: int, x: int) -> DistributionAu
     return audit
 
 
-def rk_formula_audit(b: BipartiteGraph, ell: int, x: int, y: int) -> DistributionAudit:
+def rk_formula_audit(enum: Enumeration, x: int, y: int) -> DistributionAudit:
     """Closed form for r_k(y) = Pr(k available and y among them):
     q_k * [(mu_y - p(x,y)) * (k-(M-ell)-1)/(ell-1) + (nu_y + p(x,y))]."""
-    enum = _Enumeration(b, ell)
-    if not 0 <= x < ell:
-        raise ValueError(f"x out of range: {x}")
+    q, _q_cond, r_full = enum.size_tables(x)
     if not 0 <= y < enum.m or not enum.p[x][y]:
         raise ValueError(f"vertex {y} is not a possible partner of {x}")
-    q, _q_cond, r_full = enum.size_tables(x)
-    m = enum.m
+    m, ell = enum.m, enum.ell
     p_xy = enum.p[x][y]
     mu_y = enum.mu[y]
     nu_y = enum.nu[y]
@@ -254,15 +250,14 @@ class ChainAudit:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def inequality_chain_audit(b: BipartiteGraph, ell: int) -> ChainAudit:
+def inequality_chain_audit(enum: Enumeration) -> ChainAudit:
     """Evaluate the six checkpoints of the entropy argument in bits.
 
     c0 exact entropy; c1 conditions each partner on the available set; c2
     substitutes the per-size tables; c3 the closed-form concave bound; c4
     the degree split; c5 the final degree-sequence bound.
     """
-    enum = _Enumeration(b, ell)
-    m = enum.m
+    b, ell, m = enum.b, enum.ell, enum.m
     c0 = log2_int(enum.count)
 
     c1 = 0.0
@@ -274,7 +269,7 @@ def inequality_chain_audit(b: BipartiteGraph, ell: int) -> ChainAudit:
     for x in range(ell):
         c1 += enum.conditional_entropy_given_available(x)
         chain_sum += enum.conditional_entropy_given_history(x)
-        h_x = enum.partner_entropy(x)
+        h_x = entropy_bits(enum.p[x])
         _q, q_cond, r_full = enum.size_tables(x)
         table_slack = 0.0
         closed_slack = 0.0
@@ -316,10 +311,10 @@ def inequality_chain_audit(b: BipartiteGraph, ell: int) -> ChainAudit:
 # individual proof-step checks (used by the property tests)
 # ---------------------------------------------------------------------------
 
-def step_refinement_audit(b: BipartiteGraph, ell: int) -> list[dict]:
+def step_refinement_audit(enum: Enumeration) -> list[dict]:
     """Per-(x, y) refinement: the table value F is at most the midpoint sum
     of U(j/(ell-1)), which is at most the closed concave form."""
-    enum = _Enumeration(b, ell)
+    ell = enum.ell
     results = []
     for x in range(ell):
         _q, q_cond, r_full = enum.size_tables(x)
@@ -347,13 +342,12 @@ def step_refinement_audit(b: BipartiteGraph, ell: int) -> list[dict]:
     return results
 
 
-def gx_step_audit(b: BipartiteGraph, ell: int) -> list[dict]:
+def gx_step_audit(enum: Enumeration) -> list[dict]:
     """Per-x concavity step: the summed per-edge terms are at most
     log2(d_x)/(d_x - 1)."""
-    enum = _Enumeration(b, ell)
-    degs = b.degrees_x
+    degs = enum.b.degrees_x
     results = []
-    for x in range(ell):
+    for x in range(enum.ell):
         lhs = sum(_g(float(enum.p[x][y]), degs[x])
                   for y in range(enum.m) if enum.p[x][y])
         rhs = log_ratio(degs[x])
@@ -361,15 +355,14 @@ def gx_step_audit(b: BipartiteGraph, ell: int) -> list[dict]:
     return results
 
 
-def middle_step_audit(b: BipartiteGraph, ell: int) -> dict:
+def middle_step_audit(enum: Enumeration) -> dict:
     """Concavity of t*log2(1/t) over the nu values against the aggregate."""
-    enum = _Enumeration(b, ell)
     lhs = 0.0
     for nu_y in enum.nu:
         val = float(nu_y)
         if 0.0 < val:
             lhs += -val * math.log2(val)
-    alpha_y = ell / enum.m
+    alpha_y = enum.ell / enum.m
     alpha_term = 0.0 if alpha_y == 0 else alpha_y * math.log2(alpha_y)
     rhs = enum.m * (binary_entropy(alpha_y) + alpha_term)
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + TOL}
@@ -391,7 +384,7 @@ def tiny_bipartite_catalog(seed: int = 20240911) -> list[tuple[BipartiteGraph, i
             cand = BipartiteGraph(2, m, edges)
             if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
                 continue
-            if _saturating_count(cand, 2) > 0:
+            if matching_profile(cand.to_graph())[2] > 0:
                 instances.append((cand, 2))
     rng = random.Random(seed)
     for ell, m, wanted in ((3, 4, 8), (3, 5, 8), (4, 5, 8)):
@@ -405,12 +398,7 @@ def tiny_bipartite_catalog(seed: int = 20240911) -> list[tuple[BipartiteGraph, i
                 continue
             if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
                 continue
-            if _saturating_count(cand, ell) > 0:
+            if matching_profile(cand.to_graph())[ell] > 0:
                 instances.append((cand, ell))
                 got += 1
     return instances
-
-
-def _saturating_count(b: BipartiteGraph, ell: int) -> int:
-    profiler = MaskProfiler(b.to_graph())
-    return profiler.count(profiler.full_mask(), ell)

@@ -7,8 +7,8 @@ the criteria that explicitly cover them.
 
 import itertools
 
-from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, Graph,
-                        bound_report, complete_bipartite, cycle_graph,
+from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, Enumeration,
+                        Graph, bound_report, complete_bipartite, cycle_graph,
                         disjoint_union, inequality_chain_audit, kdd_profile,
                         log2_int, matching_profile, matching_profile_bruteforce,
                         random_bipartite, random_graph, random_regular,
@@ -121,7 +121,7 @@ def test_criterion_3_bound_dominance():
     assert len(corpus) >= 1000, f"corpus too small: {len(corpus)}"
     proved = ("bregman", "cgt", "dregular", "general", "bipartite")
     for g, ell in corpus:
-        rep = bound_report(g, ell)
+        rep = bound_report(g, [ell])[0]
         if rep.exact_log2 is None:
             continue
         for entry in rep.entries:
@@ -138,7 +138,7 @@ def test_criterion_3_bound_dominance():
         for copies in range(1, 4):
             block = complete_bipartite(d, d).to_graph()
             g = disjoint_union([block] * copies)
-            rep = bound_report(g, copies * d)
+            rep = bound_report(g, [copies * d])[0]
             slack = rep.entry("bregman").slack_bits
             if slack is None or abs(slack) >= 1e-12:
                 failures.append(("bregman-equality", d, copies, slack))
@@ -214,11 +214,12 @@ def test_criterion_7_proof_lab():
     catalog = tiny_bipartite_catalog()
     assert len(catalog) >= 50
     for b, ell in catalog:
-        chain = inequality_chain_audit(b, ell)
+        enum = Enumeration(b, ell)
+        chain = inequality_chain_audit(enum)
         if not chain.passed:
             failures.append(("chain", b.edges, ell))
         for x in range(b.size_x):
-            if not zx_distribution_audit(b, ell, x).passed:
+            if not zx_distribution_audit(enum, x).passed:
                 failures.append(("zx", b.edges, ell, x))
         profiler = MaskProfiler(b.to_graph())
         full = profiler.full_mask()
@@ -227,7 +228,7 @@ def test_criterion_7_proof_lab():
             sub = full ^ (1 << x) ^ (1 << (b.size_x + y))
             if profiler.count(sub, ell - 1) == 0:
                 continue  # edge never used, outside the formula's domain
-            if not rk_formula_audit(b, ell, x, y).passed:
+            if not rk_formula_audit(enum, x, y).passed:
                 failures.append(("rk", b.edges, ell, x, y))
     _report(f"criterion 7: proof-step audits on {len(catalog)} instances", failures)
 

@@ -293,7 +293,7 @@ class TestWildBound:
 
 class TestBoundReport:
     def test_c6(self):
-        rep = bound_report(cycle_graph(6), 3, graph_id="C6")
+        rep = bound_report(cycle_graph(6), [3], graph_id="C6")[0]
         assert rep.exact_count == 2
         for name in ("cgt", "dregular", "general"):
             entry = rep.entry(name)
@@ -301,7 +301,7 @@ class TestBoundReport:
             assert entry.slack_bits >= -1e-9
 
     def test_k33_bipartite(self):
-        rep = bound_report(complete_bipartite(3, 3), 3)
+        rep = bound_report(complete_bipartite(3, 3), [3])[0]
         assert rep.exact_count == 6
         assert abs(rep.entry("bregman").slack_bits) < 1e-12
         for name in ("bregman", "bipartite", "genminc"):
@@ -309,46 +309,46 @@ class TestBoundReport:
         assert rep.entry("genminc").conjectural
 
     def test_ell_zero(self):
-        rep = bound_report(cycle_graph(5), 0)
+        rep = bound_report(cycle_graph(5), [0])[0]
         assert rep.exact_log2 == 0.0
         for entry in rep.entries:
             if entry.applicable:
                 assert entry.value_bits >= -1e-12
 
     def test_bipartite_detection_from_plain_graph(self):
-        rep = bound_report(complete_bipartite(3, 3).to_graph(), 3)
+        rep = bound_report(complete_bipartite(3, 3).to_graph(), [3])[0]
         assert rep.entry("bregman").applicable
         assert abs(rep.entry("bregman").slack_bits) < 1e-12
 
     def test_odd_cycle_has_no_bipartite_entries(self):
-        rep = bound_report(cycle_graph(5), 2)
+        rep = bound_report(cycle_graph(5), [2])[0]
         assert not rep.entry("bregman").applicable
         assert not rep.entry("bipartite").applicable
 
     def test_isolated_vertices_marked_inapplicable(self):
         g = Graph(4, [(0, 1)])
-        rep = bound_report(g, 1)
+        rep = bound_report(g, [1])[0]
         assert not rep.entry("general").applicable
         assert rep.exact_count == 1
 
     def test_transposed_orientation_for_conjectured_bounds(self):
         # the ell-sized part sits on the Y side; the report flips it
         flipped = BipartiteGraph(4, 2, [(x, y) for x in range(4) for y in range(2)])
-        rep = bound_report(flipped, 2)
+        rep = bound_report(flipped, [2])[0]
         entry = rep.entry("genminc")
         assert entry.applicable
         assert abs(entry.value_bits - genminc_bound(complete_bipartite(2, 4), 2)) < 1e-12
         assert abs(entry.slack_bits) < 1e-9
 
     def test_csv_shape(self):
-        reports = [bound_report(cycle_graph(6), ell, graph_id="C6") for ell in (0, 3)]
+        reports = bound_report(cycle_graph(6), [0, 3], graph_id="C6")
         rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
         assert rows[0] == ["graphId", "ell", "boundName", "valueBits", "exactBits",
                            "slackBits", "applicable"]
         assert len(rows) == 1 + sum(len(r.entries) for r in reports)
 
     def test_json_shape(self):
-        doc = bound_report(cycle_graph(6), 2, graph_id="C6").to_json_dict()
+        doc = bound_report(cycle_graph(6), [2], graph_id="C6")[0].to_json_dict()
         assert doc["schema"] == 1
         assert doc["exactCount"] == "9"
         assert {e["name"] for e in doc["entries"]} >= {"cgt", "dregular", "general"}

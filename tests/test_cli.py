@@ -166,5 +166,23 @@ class TestExitCodes:
         assert main(["campaign", "--conjecture", "umc", "--d", "3", "--N", "10",
                      "--samples", "1", "--seed", "0"]) == 1
 
+    def test_memo_cap_env_not_an_integer(self, c6_file, monkeypatch, capsys):
+        monkeypatch.setenv("MATCHBOUND_MEMO_CAP", "abc")
+        assert main(["count", "--graph", c6_file]) == 1
+        assert "MATCHBOUND_MEMO_CAP" in capsys.readouterr().err
+
+    def test_campaign_negative_samples(self, capsys):
+        assert main(["campaign", "--conjecture", "umc", "--d", "3", "--N", "12",
+                     "--samples", "-5"]) == 1
+        assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conjecture, ell", [
+        ("umc", "x"), ("umc", "1,x"), ("genminc", "x"), ("wild", "x"), ("genminc", "2,3")])
+    def test_campaign_bad_ell(self, conjecture, ell, capsys):
+        assert main(["campaign", "--conjecture", conjecture, "--N", "12", "--d", "3",
+                     "--ell", ell, "--M", "4", "--samples", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "bad --ell value" in err and "invalid literal" not in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

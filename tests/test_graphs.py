@@ -79,6 +79,11 @@ class TestGraph6:
         with pytest.raises(ParseError, match="length"):
             parse_graph6("A__")
 
+    def test_nonzero_padding_rejected(self):
+        assert parse_graph6("Bw").edges == ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(ParseError, match="padding"):
+            parse_graph6("B~")
+
     def test_reference_encoder_round_trip(self):
         nx = pytest.importorskip("networkx")
         for seed in range(100):

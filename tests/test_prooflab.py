@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from matchbound import (BipartiteGraph, CapExceeded, complete_bipartite,
+from matchbound import (BipartiteGraph, CapExceeded, Enumeration, complete_bipartite,
                         gx_step_audit, inequality_chain_audit, matching_marginals,
                         middle_step_audit, rk_formula_audit, step_refinement_audit,
                         thm_bipartite_bound, tiny_bipartite_catalog,
                         zx_distribution_audit)
-from matchbound.prooflab import TOL, _Enumeration
+from matchbound.prooflab import TOL
 
 MARGINAL_EXAMPLE = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
 CATALOG = tiny_bipartite_catalog()
@@ -17,63 +17,63 @@ CATALOG = tiny_bipartite_catalog()
 class TestSizeDistribution:
     def test_single_choice_point_mass(self):
         b = complete_bipartite(1, 4)
-        audit = zx_distribution_audit(b, 1, 0)
+        audit = zx_distribution_audit(Enumeration(b, 1), 0)
         assert audit.q_table == {4: Fraction(1)}
         assert audit.passed
 
     def test_half_half(self):
-        audit = zx_distribution_audit(MARGINAL_EXAMPLE, 2, 0)
+        audit = zx_distribution_audit(Enumeration(MARGINAL_EXAMPLE, 2), 0)
         assert audit.q_table == {2: Fraction(1, 2), 3: Fraction(1, 2)}
         assert audit.passed
 
     def test_square_case_uniform(self):
-        audit = zx_distribution_audit(complete_bipartite(3, 3), 3, 1)
+        audit = zx_distribution_audit(Enumeration(complete_bipartite(3, 3), 3), 1)
         assert audit.q_table == {k: Fraction(1, 3) for k in (1, 2, 3)}
         assert audit.passed
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
-            zx_distribution_audit(complete_bipartite(5, 5), 5, 0)
+            zx_distribution_audit(Enumeration(complete_bipartite(5, 5), 5), 0)
 
     def test_no_saturating_matching(self):
         b = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
         with pytest.raises(ValueError, match="saturating"):
-            zx_distribution_audit(b, 2, 0)
+            zx_distribution_audit(Enumeration(b, 2), 0)
 
 
 class TestAvailabilityFormula:
     def test_single_step(self):
         b = BipartiteGraph(1, 3, [(0, 0), (0, 1)])
-        audit = rk_formula_audit(b, 1, 0, 1)
-        enum = _Enumeration(b, 1)
+        audit = rk_formula_audit(Enumeration(b, 1), 0, 1)
+        enum = Enumeration(b, 1)
         expected = enum.nu[1] + enum.p[0][1]
         assert audit.r_table[(3, 1)] == expected
         assert audit.passed
 
     def test_worked_example(self):
-        audit = rk_formula_audit(MARGINAL_EXAMPLE, 2, 0, 1)
+        audit = rk_formula_audit(Enumeration(MARGINAL_EXAMPLE, 2), 0, 1)
         assert audit.passed
         assert set(audit.r_table) == {(2, 1), (3, 1)}
 
     def test_k22(self):
         for x, y in complete_bipartite(2, 2).edges:
-            audit = rk_formula_audit(complete_bipartite(2, 2), 2, x, y)
+            audit = rk_formula_audit(Enumeration(complete_bipartite(2, 2), 2), x, y)
             assert audit.passed
 
     def test_zero_probability_edge_rejected(self):
         b = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 1)])
         with pytest.raises(ValueError, match="partner"):
-            rk_formula_audit(b, 2, 0, 1)  # edge exists but is never used
+            rk_formula_audit(Enumeration(b, 2), 0, 1)  # edge exists but is never used
 
     def test_json_fractions(self):
-        doc = rk_formula_audit(MARGINAL_EXAMPLE, 2, 0, 1).to_json_dict()
+        doc = rk_formula_audit(Enumeration(MARGINAL_EXAMPLE, 2), 0, 1).to_json_dict()
         assert doc["passed"] is True
         assert all("/" in v for v in doc["qTable"].values())
 
 
 class TestInequalityChain:
     def test_k22(self):
-        audit = inequality_chain_audit(complete_bipartite(2, 2), 2)
+        audit = inequality_chain_audit(Enumeration(complete_bipartite(2, 2), 2))
         labels = [label for label, _v in audit.checkpoints]
         values = dict(audit.checkpoints)
         assert labels[0] == "exact-entropy"
@@ -84,31 +84,31 @@ class TestInequalityChain:
 
     def test_star_chain_collapses(self):
         for m in (2, 3, 5):
-            audit = inequality_chain_audit(complete_bipartite(1, m), 1)
+            audit = inequality_chain_audit(Enumeration(complete_bipartite(1, m), 1))
             values = dict(audit.checkpoints)
             assert abs(values["exact-entropy"] - math.log2(m)) < 1e-12
             assert abs(values["given-available-set"] - math.log2(m)) < 1e-12
             assert audit.passed
 
     def test_worked_example(self):
-        audit = inequality_chain_audit(MARGINAL_EXAMPLE, 2)
+        audit = inequality_chain_audit(Enumeration(MARGINAL_EXAMPLE, 2))
         assert abs(audit.checkpoints[0][1] - math.log2(3)) < 1e-12
         assert audit.passed
 
     def test_chain_rule_identity_on_catalog(self):
         for b, ell in CATALOG:
-            audit = inequality_chain_audit(b, ell)
+            audit = inequality_chain_audit(Enumeration(b, ell))
             assert audit.chain_rule_gap <= TOL, (b.edges, ell)
 
     def test_monotone_on_catalog(self):
         for b, ell in CATALOG:
-            audit = inequality_chain_audit(b, ell)
+            audit = inequality_chain_audit(Enumeration(b, ell))
             values = [v for _l, v in audit.checkpoints]
             for i in range(len(values) - 1):
                 assert values[i] <= values[i + 1] + TOL, (b.edges, ell, audit.checkpoints)
 
     def test_json_shape(self):
-        doc = inequality_chain_audit(MARGINAL_EXAMPLE, 2).to_json_dict()
+        doc = inequality_chain_audit(Enumeration(MARGINAL_EXAMPLE, 2)).to_json_dict()
         assert doc["schema"] == 1 and doc["passed"] is True
         assert len(doc["checkpoints"]) == 6
 
@@ -116,24 +116,24 @@ class TestInequalityChain:
 class TestStepAudits:
     def test_refinement_on_catalog(self):
         for b, ell in CATALOG[:60]:
-            for entry in step_refinement_audit(b, ell):
+            for entry in step_refinement_audit(Enumeration(b, ell)):
                 assert entry["ok"], (b.edges, ell, entry)
 
     def test_gx_on_catalog(self):
         for b, ell in CATALOG[:60]:
-            for entry in gx_step_audit(b, ell):
+            for entry in gx_step_audit(Enumeration(b, ell)):
                 assert entry["ok"], (b.edges, ell, entry)
 
     def test_middle_on_catalog(self):
         for b, ell in CATALOG[:60]:
-            assert middle_step_audit(b, ell)["ok"], (b.edges, ell)
+            assert middle_step_audit(Enumeration(b, ell))["ok"], (b.edges, ell)
 
 
 class TestEnumerationAgainstMarginals:
     def test_dual_route_probabilities(self):
         # enumeration frequencies versus the deletion-count rationals
         for b, ell in CATALOG[:40]:
-            enum = _Enumeration(b, ell)
+            enum = Enumeration(b, ell)
             table = matching_marginals(b, ell)
             assert enum.p == table.p
             assert enum.mu == table.mu
