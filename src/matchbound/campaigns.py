@@ -116,8 +116,6 @@ def run_umc_campaign(cfg: CampaignConfig) -> CampaignReport:
         raise ValueError("umc campaigns need N and d")
     if d < 1 or n % (2 * d) != 0:
         raise ValueError(f"2d = {2 * d} must divide N = {n}")
-    if n > 64:
-        raise CapExceeded("exact counting is limited to 64 vertices")
     start = time.perf_counter()
     extremal = umc_extremal_profile(n, d)
     ells = cfg.ell_values if cfg.ell_values is not None else list(range(n // 2 + 1))

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success; 1 usage or parse error; 2 infeasible (a size, memo,
+Exit codes: 0 success; 1 usage or parse error; 2 infeasible (a size, state,
 enumeration, or retry cap); 3 a conjecture violation was found under --strict.
 """
 
@@ -68,13 +68,16 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _ell_list(spec: str, max_ell: int | None = None) -> list[int]:
-    """"all" (when max_ell is given) or comma-separated integers."""
+    """"all" or comma-separated integers in 0..max_ell (when it is given)."""
     if spec == "all" and max_ell is not None:
         return list(range(max_ell + 1))
     try:
-        return [int(part) for part in spec.split(",")]
+        values = [int(part) for part in spec.split(",")]
     except ValueError:
         raise _UsageError(f"bad --ell value {spec!r}") from None
+    if max_ell is not None and any(not 0 <= v <= max_ell for v in values):
+        raise _UsageError(f"bad --ell value {spec!r}: ell must lie in 0..{max_ell}")
+    return values
 
 
 def build_parser() -> _Parser:

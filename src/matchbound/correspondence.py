@@ -333,8 +333,9 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
     for key, pattern in patterns.items():
         if not pattern.valid:
             ok_b = False
-            offenders.append({"check": "b", "pattern": pattern.to_json_dict(),
-                              "detail": "projection is not a path/cycle pattern"})
+            if len(offenders) < 10:
+                offenders.append({"check": "b", "pattern": pattern.to_json_dict(),
+                                  "detail": "projection is not a path/cycle pattern"})
             continue
         expected_cover = pattern.cover_fiber_size()
         sum_all += expected_cover

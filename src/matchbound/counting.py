@@ -15,128 +15,109 @@ from fractions import Fraction
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, Graph
 
-MEMO_CAP_ENV = "MATCHBOUND_MEMO_CAP"
-DEFAULT_MEMO_CAP = 1 << 24
-MAX_MEMOIZED_VERTICES = 64
+STATE_CAP_ENV = "MATCHBOUND_STATE_CAP"
+DEFAULT_STATE_CAP = 1 << 20
 MAX_BRUTEFORCE_EDGES = 24
 
 
-def _memo_cap(override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(MEMO_CAP_ENV)
-    if not env:
-        return DEFAULT_MEMO_CAP
+def _state_cap() -> int:
+    env = os.environ.get(STATE_CAP_ENV)
     try:
-        return int(env)
+        return int(env) if env else DEFAULT_STATE_CAP
     except ValueError:
-        raise ValueError(f"{MEMO_CAP_ENV} must be an integer, got {env!r}") from None
+        raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 class MaskProfiler:
-    """Matching-profile counter for induced subgraphs of one fixed graph.
+    """Matching-profile counter: a frontier DP over one greedy vertex sweep.
 
-    profile(mask) returns the matching profile of the subgraph induced by the
-    vertex bitmask, as a tuple trimmed after the last nonzero count. Results
-    are memoized on the mask, so repeated queries (e.g. all single-pair
-    deletions for marginals) share work.
+    The frontier is the set of placed vertices that still have unplaced
+    neighbours. The next vertex is an unplaced neighbour of the frontier with
+    the least net frontier growth, then the most placed neighbours, then the
+    lowest index; with an empty frontier it is the lowest unplaced vertex.
 
-    Recurrence: split on the lowest-index vertex v of maximum residual degree;
-    either v is unmatched, or it is matched to one of its residual neighbors.
-    Disconnected residuals factor into a convolution of component profiles,
-    which keeps disjoint unions (and double covers) cheap.
+    A state is the bitmask of frontier vertices still unmatched, each holding
+    a slot bit while it is on the frontier. Its value is the matching
+    polynomial of the placed part packed into one int, with coefficient k at
+    bits [k*B, (k+1)*B) and B = |E| + 1: every coefficient counts distinct
+    k-subsets of E, so it is at most 2^|E| < 2^B and additions never carry
+    between coefficients. Matching one more edge is a shift by B.
+
+    The number of live states is capped by MATCHBOUND_STATE_CAP; `memo`
+    holds the widest frontier table of the last sweep.
     """
 
-    __slots__ = ("n", "adj_masks", "memo", "cap")
+    __slots__ = ("n", "shift", "plan", "cap", "memo")
 
-    def __init__(self, g: Graph, memo_cap: int | None = None):
-        if g.n > MAX_MEMOIZED_VERTICES:
-            raise CapExceeded(
-                f"memoized counting is limited to {MAX_MEMOIZED_VERTICES} vertices, got {g.n}")
+    def __init__(self, g: Graph):
+        adj = g.adj
         self.n = g.n
-        adj = [0] * g.n
-        for u, v in g.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adj_masks = adj
-        self.memo: dict[int, tuple[int, ...]] = {}
-        self.cap = _memo_cap(memo_cap)
+        self.shift = g.num_edges + 1
+        self.cap = _state_cap()
+        self.memo: dict[int, int] = {0: 1}
+        # per step: (slot bit of v or 0, slot bits of its placed neighbours, keep mask)
+        self.plan = []
+        left = [len(a) for a in adj]  # unplaced neighbours of each vertex
+        placed = [False] * g.n
+        slot: dict[int, int] = {}  # frontier vertex -> its slot bit
+        used = start = 0
 
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        def rank(v):  # net frontier growth, most placed neighbours, index
+            closes = sum(1 for u in adj[v] if left[u] == 1 and u in slot)
+            return ((left[v] > 0) - closes, left[v] - len(adj[v]), v)
 
-    def profile(self, mask: int) -> tuple[int, ...]:
-        memo = self.memo
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        adj = self.adj_masks
-        # connected component of the lowest remaining vertex
-        comp = 0
-        frontier = mask & -mask
-        while frontier:
-            comp |= frontier
-            grow = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grow |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = grow & mask & ~comp
-        if comp != mask:
-            left = self.profile(comp)
-            right = self.profile(mask ^ comp)
-            counts = [0] * (len(left) + len(right) - 1)
-            for i, a in enumerate(left):
-                for j, b in enumerate(right):
-                    counts[i + j] += a * b
-            out = tuple(counts)
-        else:
-            out = self._profile_connected(mask)
-        if len(memo) >= self.cap:
-            raise CapExceeded(f"memo cap of {self.cap} entries exceeded")
-        memo[mask] = out
-        return out
+        for _ in range(g.n):
+            cands = {u for f in slot for u in adj[f] if not placed[u]}
+            if cands:
+                v = min(cands, key=rank)
+            else:
+                while placed[start]:
+                    start += 1
+                v = start
+            placed[v] = True
+            ubits = []
+            done = 0
+            for u in adj[v]:
+                left[u] -= 1
+                if u in slot:
+                    ubits.append(slot[u])
+                    if not left[u]:
+                        done |= slot.pop(u)
+            used &= ~done
+            vbit = 0
+            if left[v]:
+                vbit = slot[v] = ~used & (used + 1)
+                used |= vbit
+            self.plan.append((vbit, tuple(ubits), ~done))
 
-    def _profile_connected(self, mask: int) -> tuple[int, ...]:
-        adj = self.adj_masks
-        best_v = -1
-        best_deg = 0
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            deg = (adj[v] & mask).bit_count()
-            if deg > best_deg:
-                best_deg = deg
-                best_v = v
-            m ^= low
-        if best_deg == 0:
-            # no edges left in the residual graph
-            return (1,)
-        rest = mask ^ (1 << best_v)
-        counts = list(self.profile(rest))
-        nb = adj[best_v] & mask
-        while nb:
-            low = nb & -nb
-            sub = self.profile(rest ^ low)
-            if len(counts) < len(sub) + 1:
-                counts.extend([0] * (len(sub) + 1 - len(counts)))
-            for j, c in enumerate(sub):
-                counts[j + 1] += c
-            nb ^= low
-        return tuple(counts)
-
-    def count(self, mask: int, ell: int) -> int:
-        prof = self.profile(mask)
-        return prof[ell] if 0 <= ell < len(prof) else 0
+    def profile(self) -> list[int]:
+        """[count of 0-matchings, ..., count of floor(n/2)-matchings]."""
+        shift, cap, n = self.shift, self.cap, self.n
+        table = self.memo = {0: 1}
+        for i, (vbit, ubits, keep) in enumerate(self.plan):
+            new: dict[int, int] = {}
+            get = new.get
+            for key, val in table.items():
+                k = (key & keep) | vbit
+                new[k] = get(k, 0) + val
+                for ub in ubits:
+                    if key & ub:
+                        k = (key ^ ub) & keep
+                        new[k] = get(k, 0) + (val << shift)
+            if len(new) > cap:
+                raise CapExceeded(
+                    f"frontier state cap of {cap} exceeded: {len(new)} states at "
+                    f"sweep step {i + 1} of {n}; raise it with {STATE_CAP_ENV}")
+            if len(new) > len(self.memo):
+                self.memo = new
+            table = new
+        packed, mask = table[0], (1 << shift) - 1
+        return [(packed >> (k * shift)) & mask for k in range(n // 2 + 1)]
 
 
-def matching_profile(g: Graph, memo_cap: int | None = None) -> list[int]:
+def matching_profile(g: Graph) -> list[int]:
     """Exact profile [count of 0-matchings, ..., count of floor(n/2)-matchings]."""
-    profiler = MaskProfiler(g, memo_cap)
-    prof = list(profiler.profile(profiler.full_mask()))
-    return prof + [0] * (g.n // 2 + 1 - len(prof))
+    return MaskProfiler(g).profile()
 
 
 def matching_profile_bruteforce(g: Graph) -> list[int]:
@@ -241,26 +222,45 @@ def entropy_bits(probs) -> float:
     return h
 
 
+def _saturate(table: dict[int, int], ybits) -> dict[int, int]:
+    """Extend every partial matching in table (keyed by used-Y mask) by one
+    more X-vertex whose neighbours have the bits ybits."""
+    out: dict[int, int] = {}
+    get = out.get
+    for used, cnt in table.items():
+        for bit in ybits:
+            if not used & bit:
+                k = used | bit
+                out[k] = get(k, 0) + cnt
+    return out
+
+
 def matching_marginals(b: BipartiteGraph, ell: int) -> MarginalTable:
     """Exact rational marginals for the uniform ell-matching of b.
 
     Requires size_x == ell <= size_y, so every ell-matching saturates X and
     p[x][y] = (#matchings avoiding x and y, size ell-1) / (#matchings, size ell).
+    Both counts come from a subset DP over used-Y masks, not the engine.
     """
     if b.size_x != ell:
         raise ValueError(f"marginals need size_x == ell (got {b.size_x} vs {ell})")
     if ell > b.size_y:
         raise ValueError(f"need ell <= size_y (got {ell} > {b.size_y})")
-    g = b.to_graph()
-    profiler = MaskProfiler(g)
-    full = profiler.full_mask()
-    total = profiler.count(full, ell)
+    rows = [tuple(1 << y for y in ys) for ys in b.adj_x]
+    # prefix[i]: used-Y mask -> matchings saturating x_0..x_{i-1} exactly there
+    prefix = [{0: 1}]
+    for ybits in rows:
+        prefix.append(_saturate(prefix[-1], ybits))
+    total = sum(prefix[-1].values())
     if total == 0:
         raise ValueError("graph has no X-saturating matching")
     p = [[Fraction(0)] * b.size_y for _ in range(b.size_x)]
-    for x, y in b.edges:
-        sub = full ^ (1 << x) ^ (1 << (b.size_x + y))
-        p[x][y] = Fraction(profiler.count(sub, ell - 1), total)
+    for x, ys in enumerate(b.adj_x):
+        table = prefix[x]
+        for ybits in rows[x + 1:]:
+            table = _saturate(table, ybits)
+        for y, bit in zip(ys, rows[x]):
+            p[x][y] = Fraction(sum(c for used, c in table.items() if not used & bit), total)
     mu = [sum((p[x][y] for x in range(b.size_x)), Fraction(0)) for y in range(b.size_y)]
     nu = [1 - m for m in mu]
     return MarginalTable(ell=ell, p=p, mu=mu, nu=nu,

@@ -6,4 +6,4 @@ class ParseError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A documented feasibility cap was hit (size, memo, enumeration, retries)."""
+    """A documented feasibility cap was hit (size, states, enumeration, retries)."""

@@ -2,7 +2,7 @@
 bipartite double cover.
 
 Vertices are dense 0-based integers throughout (the counting core keys its
-memo on vertex bitmasks). Bipartite graphs index their Y-part independently
+states on vertex bitmasks). Bipartite graphs index their Y-part independently
 from 0.
 """
 

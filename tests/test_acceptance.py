@@ -10,13 +10,12 @@ import itertools
 from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, Enumeration,
                         Graph, bound_report, complete_bipartite, cycle_graph,
                         disjoint_union, inequality_chain_audit, kdd_profile,
-                        log2_int, matching_profile, matching_profile_bruteforce,
-                        random_bipartite, random_graph, random_regular,
-                        rk_formula_audit, run_genminc_campaign, run_umc_campaign,
-                        thm_dregular_bound, thm_general_bound,
+                        log2_int, matching_marginals, matching_profile,
+                        matching_profile_bruteforce, random_bipartite, random_graph,
+                        random_regular, rk_formula_audit, run_genminc_campaign,
+                        run_umc_campaign, thm_dregular_bound, thm_general_bound,
                         tiny_bipartite_catalog, umc_extremal_main_term,
                         verify_fibers, zx_distribution_audit)
-from matchbound.counting import MaskProfiler
 from oracles import cycle_profile, kdd_count
 
 TOL = 1e-9
@@ -221,12 +220,9 @@ def test_criterion_7_proof_lab():
         for x in range(b.size_x):
             if not zx_distribution_audit(enum, x).passed:
                 failures.append(("zx", b.edges, ell, x))
-        profiler = MaskProfiler(b.to_graph())
-        full = profiler.full_mask()
-        total = profiler.count(full, ell)
+        marginals = matching_marginals(b, ell)
         for x, y in b.edges:
-            sub = full ^ (1 << x) ^ (1 << (b.size_x + y))
-            if profiler.count(sub, ell - 1) == 0:
+            if marginals.p[x][y] == 0:
                 continue  # edge never used, outside the formula's domain
             if not rk_formula_audit(enum, x, y).passed:
                 failures.append(("rk", b.edges, ell, x, y))

@@ -70,6 +70,18 @@ class TestBounds:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 4
 
+    @pytest.mark.parametrize("ell", ["-1", "4", "-1,99", "0,4", "99"])
+    def test_ell_out_of_range(self, c6_file, ell, capsys):
+        assert main(["bounds", "--graph", c6_file, f"--ell={ell}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ell must lie in 0..3" in captured.err
+
+    def test_ell_edges_of_range(self, c6_file, capsys):
+        assert main(["bounds", "--graph", c6_file, "--ell", "0,3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["ell"] for r in doc["reports"]] == [0, 3]
+
     def test_out_file(self, c6_file, tmp_path):
         out = tmp_path / "bounds.csv"
         assert main(["bounds", "--graph", c6_file, "--ell", "2",
@@ -149,27 +161,33 @@ class TestExitCodes:
         path.write_text("2 1\n0 0\n")
         assert main(["count", "--graph", str(path)]) == 1
 
-    def test_infeasible_exit_two(self, tmp_path):
+    def test_beyond_64_vertices(self, tmp_path, capsys):
         big = tmp_path / "big.edges"
         big.write_text("70 1\n0 1\n")
-        assert main(["count", "--graph", str(big)]) == 2
+        assert main(["count", "--graph", str(big)]) == 0
+        assert capsys.readouterr().out.splitlines() == \
+            ["0 1", "1 1"] + [f"{ell} 0" for ell in range(2, 36)]
 
-    def test_memo_cap_env(self, tmp_path, monkeypatch, capsys):
+    def test_infeasible_exit_two(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "k66.edges"
         path.write_text(emit_edge_list(complete_bipartite(6, 6).to_graph()))
-        monkeypatch.setenv("MATCHBOUND_MEMO_CAP", "4")
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
         assert main(["count", "--graph", str(path)]) == 2
-        monkeypatch.delenv("MATCHBOUND_MEMO_CAP")
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: frontier state cap of 4 exceeded: ")
+        assert " states at sweep step " in err and " of 12; " in err
+        assert err.rstrip().endswith("raise it with MATCHBOUND_STATE_CAP")
+        monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert main(["count", "--graph", str(path)]) == 0
 
     def test_campaign_bad_config(self):
         assert main(["campaign", "--conjecture", "umc", "--d", "3", "--N", "10",
                      "--samples", "1", "--seed", "0"]) == 1
 
-    def test_memo_cap_env_not_an_integer(self, c6_file, monkeypatch, capsys):
-        monkeypatch.setenv("MATCHBOUND_MEMO_CAP", "abc")
+    def test_state_cap_env_not_an_integer(self, c6_file, monkeypatch, capsys):
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "abc")
         assert main(["count", "--graph", c6_file]) == 1
-        assert "MATCHBOUND_MEMO_CAP" in capsys.readouterr().err
+        assert "MATCHBOUND_STATE_CAP" in capsys.readouterr().err
 
     def test_campaign_negative_samples(self, capsys):
         assert main(["campaign", "--conjecture", "umc", "--d", "3", "--N", "12",

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from matchbound import (CapExceeded, Graph, complete_bipartite,
+from matchbound import (CapExceeded, Graph, complete_bipartite, correspondence,
                         count_pair_decompositions, cycle_graph, disjoint_union,
                         enumerate_matchings, multiset_union_classify,
                         project_cover_matching, random_graph, verify_fibers)
@@ -204,6 +205,16 @@ class TestVerifyFibers:
             verify_fibers(g, 2, count_cap=10)
         with pytest.raises(CapExceeded):
             verify_fibers(g, 2, cover_cap=10)
+
+    def test_invalid_pattern_offenders_capped(self, monkeypatch):
+        # classify every projection as invalid: far more than ten offenders
+        classify = correspondence._classify_edge_multiset
+        monkeypatch.setattr(correspondence, "_classify_edge_multiset",
+                            lambda n, mult: replace(classify(n, mult), valid=False))
+        rep = verify_fibers(cycle_graph(8), 2)
+        assert not rep.passed
+        assert 1 <= len(rep.offenders) <= 10
+        assert all(o["check"] == "b" for o in rep.offenders)
 
     def test_json_shape(self):
         doc = verify_fibers(cycle_graph(3), 1, graph_id="C3").to_json_dict()

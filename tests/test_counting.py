@@ -33,14 +33,18 @@ class TestMatchingProfile:
             assert prof[1] == g.num_edges
             assert len(prof) == g.n // 2 + 1
 
-    def test_size_cap(self):
-        with pytest.raises(CapExceeded):
-            matching_profile(Graph(65))
+    def test_beyond_64_vertices(self):
+        # no vertex limit: 70 vertices with one edge count like any graph
+        assert matching_profile(Graph(70, [(0, 1)])) == [1, 1] + [0] * 34
 
-    def test_memo_cap(self):
-        g = random_graph(12, 0.5, 3)
-        with pytest.raises(CapExceeded):
-            matching_profile(g, memo_cap=4)
+    def test_state_cap(self, monkeypatch):
+        g = complete_bipartite(4, 4).to_graph()
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
+        with pytest.raises(CapExceeded, match=r"state cap of 4 exceeded: \d+ states "
+                           r"at sweep step \d+ of 8; raise it with MATCHBOUND_STATE_CAP"):
+            matching_profile(g)
+        monkeypatch.delenv("MATCHBOUND_STATE_CAP")
+        assert matching_profile(g) == kdd_profile(4)
 
     def test_relabeling_invariance(self):
         rng = random.Random(99)
