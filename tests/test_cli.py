@@ -180,6 +180,17 @@ class TestExitCodes:
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert main(["count", "--graph", str(path)]) == 0
 
+    def test_memo_cap_env(self, tmp_path, monkeypatch, capsys):
+        # The retired MATCHBOUND_MEMO_CAP caps nothing; the state cap does.
+        path = tmp_path / "k66.edges"
+        path.write_text(emit_edge_list(complete_bipartite(6, 6).to_graph()))
+        monkeypatch.setenv("MATCHBOUND_MEMO_CAP", "4")
+        assert main(["count", "--graph", str(path)]) == 0
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
+        assert main(["count", "--graph", str(path)]) == 2
+        monkeypatch.delenv("MATCHBOUND_STATE_CAP")
+        assert main(["count", "--graph", str(path)]) == 0
+
     def test_campaign_bad_config(self):
         assert main(["campaign", "--conjecture", "umc", "--d", "3", "--N", "10",
                      "--samples", "1", "--seed", "0"]) == 1
