@@ -10,12 +10,12 @@ from .bounds import (BoundEntry, BoundReport, binary_entropy, bound_report,
 from .campaigns import (CampaignConfig, CampaignReport, Violation, run_campaign,
                         run_genminc_campaign, run_umc_campaign)
 from .correspondence import (AuditReport, UnionPattern, count_pair_decompositions,
-                             enumerate_matchings, multiset_union_classify,
-                             project_cover_matching, verify_fibers)
-from .counting import (MarginalTable, MaskProfiler, kdd_profile, matching_marginals,
-                       matching_profile, matching_profile_bruteforce,
-                       profile_convolution, profile_from_json, profile_to_json,
-                       umc_extremal_profile)
+                             multiset_union_classify, project_cover_matching,
+                             verify_fibers)
+from .counting import (MarginalTable, MaskProfiler, enumerate_matchings, kdd_profile,
+                       matching_marginals, matching_profile,
+                       matching_profile_bruteforce, profile_convolution,
+                       profile_from_json, profile_to_json, umc_extremal_profile)
 from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, Graph, as_bipartite,
                      bipartite_double_cover, complete_bipartite, cycle_graph,

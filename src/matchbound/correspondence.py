@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .counting import matching_profile
+from .counting import enumerate_matchings, matching_profile
 from .errors import CapExceeded
 from .graphs import Graph, bipartite_double_cover
 
@@ -169,30 +169,6 @@ def project_cover_matching(cover_matching, g: Graph) -> UnionPattern:
     return _classify_edge_multiset(g.n, mult)
 
 
-def enumerate_matchings(g: Graph, size: int):
-    """Yield every matching of exactly `size` edges, edges in index order."""
-    if size == 0:
-        yield ()
-        return
-    masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    edges = g.edges
-    m = len(edges)
-    chosen = []
-
-    def rec(start: int, used: int, need: int):
-        for i in range(start, m - need + 1):
-            em = masks[i]
-            if not used & em:
-                chosen.append(edges[i])
-                if need == 1:
-                    yield tuple(chosen)
-                else:
-                    yield from rec(i + 1, used | em, need - 1)
-                chosen.pop()
-
-    yield from rec(0, 0, size)
-
-
 def count_pair_decompositions(pattern: UnionPattern, ell: int) -> int:
     """Number of ordered pairs of ell-matchings whose multiset union is the
     pattern, by direct assignment enumeration (the fiber of the union map)."""
@@ -289,39 +265,25 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
     ("claimedEvenPatternWeight"); it exceeds the squared count exactly when
     odd-edge-count path components occur.
     """
-    prof_g = matching_profile(g)
-    count = prof_g[ell] if 0 <= ell < len(prof_g) else 0
+    if not 0 <= ell <= g.n // 2:
+        raise ValueError(f"ell must lie in 0..N/2 = 0..{g.n // 2}, got {ell}")
+    count = matching_profile(g)[ell]
     if count > count_cap:
         raise CapExceeded(f"{count} matchings exceed the audit cap {count_cap}")
-    cover = bipartite_double_cover(g)
-    gk = cover.to_graph()
-    prof_k = matching_profile(gk)
-    cover_count = prof_k[2 * ell] if 0 <= 2 * ell < len(prof_k) else 0
+    gk = bipartite_double_cover(g).to_graph()
+    cover_count = matching_profile(gk)[2 * ell]
     if cover_count > cover_cap:
         raise CapExceeded(
             f"{cover_count} cover matchings exceed the audit cap {cover_cap}")
 
+    # label each cover edge (x, n + y) with the index of its image {x, y} in g
     n = g.n
-    masks = [(1 << u) | (1 << v) for u, v in gk.edges]
-    proj = [(u, v - n) if u < v - n else (v - n, u) for u, v in gk.edges]
-    m = len(masks)
-    fibers: dict[tuple, int] = {}
-    chosen: list = []
-
-    def collect(start: int, used: int, need: int) -> None:
-        if need == 0:
-            key = tuple(sorted(chosen))
-            fibers[key] = fibers.get(key, 0) + 1
-            return
-        for i in range(start, m - need + 1):
-            em = masks[i]
-            if not used & em:
-                chosen.append(proj[i])
-                collect(i + 1, used | em, need - 1)
-                chosen.pop()
-
-    collect(0, 0, 2 * ell)
-    patterns = {key: _classify_edge_multiset(n, Counter(key)) for key in fibers}
+    index = {e: i for i, e in enumerate(g.edges)}
+    proj = [index[(u, v - n) if u < v - n else (v - n, u)] for u, v in gk.edges]
+    fibers = Counter(tuple(sorted(match))
+                     for match in enumerate_matchings(gk, 2 * ell, proj))
+    patterns = {key: _classify_edge_multiset(n, Counter(g.edges[i] for i in key))
+                for key in fibers}
 
     report = AuditReport(graph_id=graph_id, ell=ell)
     offenders = report.offenders

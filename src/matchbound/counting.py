@@ -120,29 +120,42 @@ def matching_profile(g: Graph) -> list[int]:
     return MaskProfiler(g).profile()
 
 
-def matching_profile_bruteforce(g: Graph) -> list[int]:
-    """Independent oracle: depth-first enumeration of every matching.
+def enumerate_matchings(g: Graph, size: int, labels=None):
+    """Yield every matching of exactly `size` edges, in lexicographic order of
+    edge indices, as the tuple of labels[i] over its edges (by default the
+    edges themselves). The one matching enumerator of the package."""
+    if size < 0:
+        raise ValueError(f"matching size must be non-negative, got {size}")
+    masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    labels = g.edges if labels is None else labels
+    m = len(masks)
+    chosen: list = []
 
-    No memoization; each matching is visited exactly once (edges in
-    increasing index order). Capped at 24 edges.
-    """
+    def rec(start: int, used: int, need: int):
+        for i in range(start, m - need + 1):
+            em = masks[i]
+            if not used & em:
+                chosen.append(labels[i])
+                if need == 1:
+                    yield tuple(chosen)
+                else:
+                    yield from rec(i + 1, used | em, need - 1)
+                chosen.pop()
+
+    return rec(0, 0, size) if size else iter([()])
+
+
+def matching_profile_bruteforce(g: Graph) -> list[int]:
+    """Independent oracle: every matching enumerated, size by size, with no
+    memoization. Stops at the first size with no matching. Capped at 24 edges."""
     if g.num_edges > MAX_BRUTEFORCE_EDGES:
         raise CapExceeded(
             f"brute force is limited to {MAX_BRUTEFORCE_EDGES} edges, got {g.num_edges}")
-    masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    m = len(masks)
     counts = [0] * (g.n // 2 + 1)
-    counts[0] = 1
-
-    def extend(start: int, used: int, size: int) -> None:
-        nxt = size + 1
-        for i in range(start, m):
-            em = masks[i]
-            if not used & em:
-                counts[nxt] += 1
-                extend(i + 1, used | em, nxt)
-
-    extend(0, 0, 0)
+    for size in range(len(counts)):
+        counts[size] = sum(1 for _ in enumerate_matchings(g, size))
+        if not counts[size]:
+            break
     return counts
 
 

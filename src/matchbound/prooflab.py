@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .bounds import LOG2E, binary_entropy, log2_int, log_ratio, thm_bipartite_bound
-from .counting import entropy_bits, matching_profile
+from .counting import entropy_bits, enumerate_matchings, matching_profile
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
@@ -62,21 +62,10 @@ class Enumeration:
         self.b = b
         self.ell = ell
         self.m = b.size_y
-        self.fs: list[tuple[int, ...]] = []
-        adj = b.adj_x
-        partners: list[int] = []
-
-        def rec(x: int, used: int):
-            if x == ell:
-                self.fs.append(tuple(partners))
-                return
-            for y in adj[x]:
-                if not used & (1 << y):
-                    partners.append(y)
-                    rec(x + 1, used | (1 << y))
-                    partners.pop()
-
-        rec(0, 0)
+        # with |X| = ell every ell-matching saturates X; edges are sorted by x,
+        # so each matching reads as its partner tuple, in lexicographic order
+        self.fs: list[tuple[int, ...]] = list(
+            enumerate_matchings(b.to_graph(), ell, [y for _x, y in b.edges]))
         self.count = len(self.fs)
         if self.count == 0:
             raise ValueError("graph has no X-saturating matching")
@@ -250,6 +239,15 @@ class ChainAudit:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _table_term(q_cond_y: dict, r_full: dict, y: int) -> float:
+    """The per-size table value F(x, y) = sum_k q(k | y) * log2(r_k(y) / q(k | y))."""
+    f_xy = 0.0
+    for k, q_val in q_cond_y.items():
+        if q_val:
+            f_xy += float(q_val) * math.log2(r_full[(k, y)] / q_val)
+    return f_xy
+
+
 def inequality_chain_audit(enum: Enumeration) -> ChainAudit:
     """Evaluate the six checkpoints of the entropy argument in bits.
 
@@ -277,12 +275,7 @@ def inequality_chain_audit(enum: Enumeration) -> ChainAudit:
             p_xy = enum.p[x][y]
             if not p_xy:
                 continue
-            f_xy = 0.0
-            for k, q_val in q_cond[y].items():
-                if q_val:
-                    ratio = r_full[(k, y)] / q_val
-                    f_xy += float(q_val) * math.log2(ratio)
-            table_slack += float(p_xy) * f_xy
+            table_slack += float(p_xy) * _table_term(q_cond[y], r_full, y)
             closed_slack += float(p_xy) * (_f(float(enum.nu[y] + p_xy)) - LOG2E)
             split_sum += float(p_xy) * (_f(float(p_xy))
                                         - math.log2(degs[x] * float(p_xy)))
@@ -322,10 +315,7 @@ def step_refinement_audit(enum: Enumeration) -> list[dict]:
             p_xy = enum.p[x][y]
             if not p_xy:
                 continue
-            f_xy = 0.0
-            for k, q_val in q_cond[y].items():
-                if q_val:
-                    f_xy += float(q_val) * math.log2(r_full[(k, y)] / q_val)
+            f_xy = _table_term(q_cond[y], r_full, y)
             a = float(enum.mu[y] - p_xy)
             c = float(enum.nu[y] + p_xy)
             if ell == 1:
@@ -357,11 +347,7 @@ def gx_step_audit(enum: Enumeration) -> list[dict]:
 
 def middle_step_audit(enum: Enumeration) -> dict:
     """Concavity of t*log2(1/t) over the nu values against the aggregate."""
-    lhs = 0.0
-    for nu_y in enum.nu:
-        val = float(nu_y)
-        if 0.0 < val:
-            lhs += -val * math.log2(val)
+    lhs = entropy_bits(enum.nu)
     alpha_y = enum.ell / enum.m
     alpha_term = 0.0 if alpha_y == 0 else alpha_y * math.log2(alpha_y)
     rhs = enum.m * (binary_entropy(alpha_y) + alpha_term)

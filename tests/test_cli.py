@@ -105,6 +105,16 @@ class TestAudits:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("ell", ["-1", "3"])
+    def test_fibers_ell_out_of_range(self, tmp_path, ell, capsys):
+        path = tmp_path / "c4.edges"
+        path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+        assert main(["fibers", "--graph", str(path), f"--ell={ell}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ell must lie in 0..N/2 = 0..2" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_prooflab(self, bip_file, capsys):
         assert main(["prooflab", "--graph", bip_file, "--ell", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -199,6 +199,11 @@ class TestVerifyFibers:
                 assert rep.passed, (i, ell, rep.to_json())
                 assert rep.totals["countSquared"] <= rep.totals["coverCount"]
 
+    @pytest.mark.parametrize("ell", [-1, 3])
+    def test_ell_out_of_range(self, ell):
+        with pytest.raises(ValueError, match=r"ell must lie in 0\.\.N/2 = 0\.\.2"):
+            verify_fibers(cycle_graph(4), ell)
+
     def test_caps(self):
         g = complete_bipartite(5, 5).to_graph()
         with pytest.raises(CapExceeded):

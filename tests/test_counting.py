@@ -1,11 +1,15 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
-                        cycle_graph, disjoint_union, kdd_profile, matching_marginals,
+                        cycle_graph, disjoint_union, enumerate_matchings,
+                        kdd_profile, matching_marginals,
                         matching_profile, matching_profile_bruteforce,
                         profile_convolution, profile_from_json, profile_to_json,
                         random_graph, umc_extremal_profile)
@@ -80,6 +84,39 @@ class TestBruteforce:
             prof = matching_profile_bruteforce(g)
             for l in range(len(prof)):
                 assert prof[l] == len(matchings_by_subsets(g.edges, l))
+
+
+@st.composite
+def tiny_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    return Graph(n, edges)
+
+
+class TestEnumerateMatchings:
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_graphs())
+    def test_matches_subset_enumeration_in_order(self, g):
+        for k in range(g.n // 2 + 2):
+            assert list(enumerate_matchings(g, k)) == matchings_by_subsets(g.edges, k)
+
+    def test_labels_applied(self):
+        g = cycle_graph(4)  # edges (0,1), (0,3), (1,2), (2,3)
+        assert list(enumerate_matchings(g, 2, "abcd")) == [("a", "d"), ("b", "c")]
+        assert list(enumerate_matchings(g, 1, range(4))) == [(0,), (1,), (2,), (3,)]
+
+    def test_size_zero_yields_empty_matching(self):
+        assert list(enumerate_matchings(cycle_graph(5), 0)) == [()]
+        assert list(enumerate_matchings(Graph(3), 0)) == [()]
+
+    def test_beyond_matching_number_yields_nothing(self):
+        assert list(enumerate_matchings(cycle_graph(5), 3)) == []
+        assert list(enumerate_matchings(Graph(4, [(0, 1), (0, 2), (0, 3)]), 2)) == []
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_matchings(cycle_graph(4), -1)
 
 
 class TestOracleEquivalence:

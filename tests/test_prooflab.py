@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -127,6 +128,16 @@ class TestStepAudits:
     def test_middle_on_catalog(self):
         for b, ell in CATALOG[:60]:
             assert middle_step_audit(Enumeration(b, ell))["ok"], (b.edges, ell)
+
+
+class TestEnumerationOrder:
+    def test_partner_tuples_in_lexicographic_order(self):
+        # the proof-lab floats are summed in this order
+        for b, ell in CATALOG:
+            edges = set(b.edges)
+            expected = sorted(f for f in permutations(range(b.size_y), ell)
+                              if all((x, y) in edges for x, y in enumerate(f)))
+            assert Enumeration(b, ell).fs == expected, (b.edges, ell)
 
 
 class TestEnumerationAgainstMarginals:
