@@ -15,7 +15,8 @@ from .correspondence import (AuditReport, UnionPattern, count_pair_decomposition
 from .counting import (MarginalTable, MaskProfiler, enumerate_matchings, kdd_profile,
                        matching_marginals, matching_profile,
                        matching_profile_bruteforce, profile_convolution,
-                       profile_from_json, profile_to_json, umc_extremal_profile)
+                       profile_from_json, profile_to_json, saturating_count,
+                       umc_extremal_profile)
 from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, Graph, as_bipartite,
                      bipartite_double_cover, complete_bipartite, cycle_graph,

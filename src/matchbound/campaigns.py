@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import genminc_bound, log2_int, wild_bound
-from .counting import matching_profile, umc_extremal_profile
+from .counting import matching_profile, saturating_count, umc_extremal_profile
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, emit_bipartite, emit_graph6, random_regular
 
@@ -153,7 +153,7 @@ def _random_instance(ell: int, m: int, p: float, seed) -> tuple[BipartiteGraph, 
         cand = BipartiteGraph(ell, m, edges)
         if min(cand.degrees_x) < 1:
             continue
-        cnt = matching_profile(cand.to_graph())[ell]
+        cnt = saturating_count(cand)
         if cnt > 0:
             return cand, cnt
     raise CapExceeded(
@@ -206,7 +206,7 @@ def run_genminc_campaign(cfg: CampaignConfig) -> CampaignReport:
     report = CampaignReport(conjecture=cfg.conjecture, config=cfg)
 
     if cfg.family == "sharp":
-        instances = [(inst, matching_profile(inst.to_graph())[ell])
+        instances = [(inst, saturating_count(inst))
                      for inst in _sharp_family(ell, m, cfg.samples)]
     elif cfg.family == "random":
         instances = [_random_instance(ell, m, cfg.edge_prob, cfg.seed + idx)

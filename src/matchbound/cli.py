@@ -7,6 +7,7 @@ enumeration, or retry cap); 3 a conjecture violation was found under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -133,6 +134,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first dispatch and reused after it: building
+    costs far more than parsing, and parse_args leaves the parser unchanged."""
+    return build_parser()
+
+
 def _cmd_count(args) -> int:
     g, _name = _read_graph(args.graph, args.format)
     if isinstance(g, BipartiteGraph):
@@ -239,9 +247,8 @@ _COMMANDS = {
 
 
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,21 +128,33 @@ def enumerate_matchings(g: Graph, size: int, labels=None):
         raise ValueError(f"matching size must be non-negative, got {size}")
     masks = [(1 << u) | (1 << v) for u, v in g.edges]
     labels = g.edges if labels is None else labels
-    m = len(masks)
+    return _walk(masks, labels, size) if size else iter([()])
+
+
+def _walk(masks, labels, size: int):
+    """Depth-first walk over edge indices with an explicit stack of
+    (index, used-vertex mask) for the edges chosen so far."""
+    stack: list[tuple[int, int]] = []
     chosen: list = []
-
-    def rec(start: int, used: int, need: int):
-        for i in range(start, m - need + 1):
-            em = masks[i]
-            if not used & em:
-                chosen.append(labels[i])
-                if need == 1:
-                    yield tuple(chosen)
-                else:
-                    yield from rec(i + 1, used | em, need - 1)
-                chosen.pop()
-
-    return rec(0, 0, size) if size else iter([()])
+    i = used = 0
+    last = len(masks) - size  # the last index that leaves room for the rest
+    while True:
+        while i <= last and used & masks[i]:
+            i += 1
+        if i > last:
+            if not stack:
+                return
+            i, used = stack.pop()
+            chosen.pop()
+            last -= 1
+        elif len(chosen) == size - 1:
+            yield (*chosen, labels[i])
+        else:
+            stack.append((i, used))
+            chosen.append(labels[i])
+            used |= masks[i]
+            last += 1
+        i += 1
 
 
 def matching_profile_bruteforce(g: Graph) -> list[int]:
@@ -235,46 +247,83 @@ def entropy_bits(probs) -> float:
     return h
 
 
-def _saturate(table: dict[int, int], ybits) -> dict[int, int]:
-    """Extend every partial matching in table (keyed by used-Y mask) by one
-    more X-vertex whose neighbours have the bits ybits."""
-    out: dict[int, int] = {}
-    get = out.get
-    for used, cnt in table.items():
-        for bit in ybits:
-            if not used & bit:
-                k = used | bit
-                out[k] = get(k, 0) + cnt
-    return out
+def _column_tables(cols, full: int):
+    """Yield T_0, ..., T_k for the Y-columns cols (each a tuple of X-vertex
+    bits): T_j maps a used-X mask A to the number of ways columns 0..j-1 are
+    each unused or matched to a distinct x in A, covering A exactly.
+
+    A state is dropped once an X-vertex outside it has no neighbour among the
+    remaining columns, so at most 2^|X| states live in one table; each table
+    is checked against the state cap.
+    """
+    cap = _state_cap()
+    live = [0] * (len(cols) + 1)  # live[j]: X-vertices with a neighbour in cols[j:]
+    for j in range(len(cols) - 1, -1, -1):
+        live[j] = live[j + 1] | sum(cols[j])
+    table = {0: 1}
+    yield table
+    for j, xbits in enumerate(cols, 1):
+        alive = live[j]
+        new: dict[int, int] = {}
+        get = new.get
+        for used, cnt in table.items():
+            if used | alive == full:
+                new[used] = get(used, 0) + cnt
+            for bit in xbits:
+                if not used & bit:
+                    k = used | bit
+                    if k | alive == full:
+                        new[k] = get(k, 0) + cnt
+        if len(new) > cap:
+            raise CapExceeded(
+                f"column state cap of {cap} exceeded: {len(new)} states at "
+                f"column {j} of {len(cols)}; raise it with {STATE_CAP_ENV}")
+        table = new
+        yield table
+
+
+def saturating_count(b: BipartiteGraph) -> int:
+    """Number of X-saturating matchings of b (0 when there is none), from a
+    DP over the Y-columns keyed by used-X masks; builds no engine."""
+    full = (1 << b.size_x) - 1
+    for table in _column_tables([tuple(1 << x for x in xs) for xs in b.adj_y], full):
+        pass
+    return table.get(full, 0)
 
 
 def matching_marginals(b: BipartiteGraph, ell: int) -> MarginalTable:
     """Exact rational marginals for the uniform ell-matching of b.
 
-    Requires size_x == ell <= size_y, so every ell-matching saturates X and
-    p[x][y] = (#matchings avoiding x and y, size ell-1) / (#matchings, size ell).
-    Both counts come from a subset DP over used-Y masks, not the engine.
+    Requires size_x == ell <= size_y, so every ell-matching saturates X. With
+    forward tables F_j over columns before y_j and backward tables G_{j+1}
+    over columns after it, the matchings using edge (x, y_j) number
+    sum over A of F_j(A) * G_{j+1}(X - A - {x}); p[x][y_j] is that over the total.
     """
     if b.size_x != ell:
         raise ValueError(f"marginals need size_x == ell (got {b.size_x} vs {ell})")
     if ell > b.size_y:
         raise ValueError(f"need ell <= size_y (got {ell} > {b.size_y})")
-    rows = [tuple(1 << y for y in ys) for ys in b.adj_x]
-    # prefix[i]: used-Y mask -> matchings saturating x_0..x_{i-1} exactly there
-    prefix = [{0: 1}]
-    for ybits in rows:
-        prefix.append(_saturate(prefix[-1], ybits))
-    total = sum(prefix[-1].values())
+    full = (1 << ell) - 1
+    cols = [tuple(1 << x for x in xs) for xs in b.adj_y]
+    forward = list(_column_tables(cols, full))
+    total = forward[-1].get(full, 0)
     if total == 0:
         raise ValueError("graph has no X-saturating matching")
-    p = [[Fraction(0)] * b.size_y for _ in range(b.size_x)]
-    for x, ys in enumerate(b.adj_x):
-        table = prefix[x]
-        for ybits in rows[x + 1:]:
-            table = _saturate(table, ybits)
-        for y, bit in zip(ys, rows[x]):
-            p[x][y] = Fraction(sum(c for used, c in table.items() if not used & bit), total)
-    mu = [sum((p[x][y] for x in range(b.size_x)), Fraction(0)) for y in range(b.size_y)]
+    p = [[Fraction(0)] * b.size_y for _ in range(ell)]
+    mu = [Fraction(0)] * b.size_y  # mu[y] = sum of p[x][y] over x, summed as counts
+    # the backward tables come G_M, G_{M-1}, ...: G_{j+1} meets column j
+    for j, after in zip(range(b.size_y - 1, -1, -1), _column_tables(cols[::-1], full)):
+        xs, bits = b.adj_y[j], cols[j]
+        hits = [0] * len(xs)
+        get = after.get
+        for used, cnt in forward[j].items():
+            rest = full ^ used
+            for i, bit in enumerate(bits):
+                if rest & bit:
+                    hits[i] += cnt * get(rest ^ bit, 0)
+        for x, h in zip(xs, hits):
+            p[x][j] = Fraction(h, total)
+        mu[j] = Fraction(sum(hits), total)
     nu = [1 - m for m in mu]
     return MarginalTable(ell=ell, p=p, mu=mu, nu=nu,
                          h_edge=[entropy_bits(row) for row in p])

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .bounds import LOG2E, binary_entropy, log2_int, log_ratio, thm_bipartite_bound
-from .counting import entropy_bits, enumerate_matchings, matching_profile
+from .counting import entropy_bits, enumerate_matchings, saturating_count
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
@@ -370,7 +370,7 @@ def tiny_bipartite_catalog(seed: int = 20240911) -> list[tuple[BipartiteGraph, i
             cand = BipartiteGraph(2, m, edges)
             if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
                 continue
-            if matching_profile(cand.to_graph())[2] > 0:
+            if saturating_count(cand) > 0:
                 instances.append((cand, 2))
     rng = random.Random(seed)
     for ell, m, wanted in ((3, 4, 8), (3, 5, 8), (4, 5, 8)):
@@ -384,7 +384,7 @@ def tiny_bipartite_catalog(seed: int = 20240911) -> list[tuple[BipartiteGraph, i
                 continue
             if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
                 continue
-            if matching_profile(cand.to_graph())[ell] > 0:
+            if saturating_count(cand) > 0:
                 instances.append((cand, ell))
                 got += 1
     return instances

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from matchbound import complete_bipartite, cycle_graph, emit_edge_list, emit_graph6
+import matchbound
+from matchbound import (complete_bipartite, cycle_graph, emit_bipartite, emit_edge_list,
+                        emit_graph6)
 from matchbound.cli import main
 
 C6_EDGES = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -190,6 +196,18 @@ class TestExitCodes:
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert main(["count", "--graph", str(path)]) == 0
 
+    def test_marginals_state_cap(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "k66.bip"
+        path.write_text(emit_bipartite(complete_bipartite(6, 6)))
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
+        assert main(["marginals", "--graph", str(path), "--ell", "6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("infeasible: column state cap of 4 exceeded: ")
+        assert err.rstrip().endswith("raise it with MATCHBOUND_STATE_CAP")
+        monkeypatch.delenv("MATCHBOUND_STATE_CAP")
+        assert main(["marginals", "--graph", str(path), "--ell", "6"]) == 0
+
     def test_memo_cap_env(self, tmp_path, monkeypatch, capsys):
         # The retired MATCHBOUND_MEMO_CAP caps nothing; the state cap does.
         path = tmp_path / "k66.edges"
@@ -225,3 +243,38 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestDispatchSequence:
+    def test_reused_parser_matches_fresh_processes(self, c6_file, monkeypatch, capsys):
+        # one process dispatches every command in turn; each must behave as
+        # in a process of its own
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = [
+            ["campaign", "--conjecture", "wild", "--ell", "3", "--M", "4",
+             "--samples", "2", "--seed", "1"],
+            ["count", "--graph", c6_file],
+            ["count", "--graph", c6_file, "--ell", "2"],
+            ["--help"],
+            ["count", "--graph", c6_file, "--json"],
+        ]
+
+        def normalise(argv, out):  # campaign reports differ only in runtimeSeconds
+            if argv[0] != "campaign" or not out:
+                return out
+            doc = json.loads(out)
+            del doc["runtimeSeconds"]
+            return doc
+
+        env = dict(os.environ, PYTHONPATH=str(Path(matchbound.__file__).parents[1]))
+        codes = []
+        for argv in commands:
+            code = main(argv)
+            codes.append(code)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "matchbound.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=60)
+            assert code == fresh.returncode, argv
+            assert normalise(argv, out) == normalise(argv, fresh.stdout), argv
+            assert err == fresh.stderr, argv
+        assert codes == [0, 0, 1, 0, 0]

@@ -50,11 +50,9 @@ def test_bounds_command_builds_one_engine(engines, tmp_path, capsys):
     assert len(engines) == 1
 
 
-# marginals take no engine, so a wild sample counts once like a genminc one
-@pytest.mark.parametrize("conjecture, per_sample", [("genminc", 1), ("wild", 1)])
+# the count and the marginals both come from the column DP over used-X masks
+@pytest.mark.parametrize("conjecture, per_sample", [("genminc", 0), ("wild", 0)])
 def test_random_campaign_engines_per_sample(engines, conjecture, per_sample):
-    # with these seeds every draw has an X-saturating matching, so no
-    # rejected draw adds an engine
     cfg = CampaignConfig(conjecture=conjecture, samples=6, seed=0, ell=4, size_y=6,
                          edge_prob=0.7)
     rep = run_campaign(cfg)
@@ -66,7 +64,16 @@ def test_sharp_campaign_engines_per_sample(engines):
     cfg = CampaignConfig(conjecture="wild", samples=3, seed=0, ell=4, size_y=6,
                          family="sharp")
     rep = run_campaign(cfg)
-    assert len(engines) == rep.instances
+    assert rep.instances > 0
+    assert engines == []
+
+
+def test_umc_campaign_engines_per_sample(engines):
+    # a umc sample needs its whole profile, which only the engine gives
+    cfg = CampaignConfig(conjecture="umc", samples=3, seed=0, n_vertices=12, d=3)
+    rep = run_campaign(cfg)
+    assert rep.instances == 3
+    assert len(engines) == 3
 
 
 def test_prooflab_builds_no_engine(engines, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
                         kdd_profile, matching_marginals,
                         matching_profile, matching_profile_bruteforce,
                         profile_convolution, profile_from_json, profile_to_json,
-                        random_graph, umc_extremal_profile)
+                        random_graph, saturating_count, umc_extremal_profile)
+from matchbound.campaigns import _sharp_family
 from oracles import cycle_profile, kdd_count, matchings_by_subsets
 
 
@@ -240,6 +242,42 @@ class TestMarginals:
         doc = matching_marginals(b, 2).to_json_dict()
         assert doc["p"][0][0] == "2/3"
         assert doc["mu"] == ["2/3", "2/3", "2/3"]
+
+
+class TestColumnDP:
+    def test_sharp_family_closed_form(self):
+        # disjoint blocks K_{a, a*M/ell}: a uniform saturating matching pairs
+        # each x with one of its block's a*M/ell columns uniformly
+        ell, m = 8, 12
+        family = _sharp_family(ell, m, limit=10)
+        assert len(family) == 5
+        for b in family:
+            table = matching_marginals(b, ell)
+            expected_count = 1
+            for x, ys in enumerate(b.adj_x):
+                a = b.adj_x.count(ys)
+                assert len(ys) == a * m // ell
+                assert table.p[x] == [Fraction(ell, a * m) if y in ys else Fraction(0)
+                                      for y in range(m)]
+                if x == 0 or b.adj_x[x - 1] != ys:  # first x of its block
+                    expected_count *= math.perm(a * m // ell, a)
+            assert saturating_count(b) == expected_count
+
+    def test_no_saturating_matching(self):
+        assert saturating_count(BipartiteGraph(2, 3, [(0, 0), (0, 1)])) == 0
+        assert saturating_count(BipartiteGraph(3, 2, [(0, 0), (1, 1), (2, 1)])) == 0
+
+    def test_state_cap(self, monkeypatch):
+        b = complete_bipartite(6, 6)
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
+        message = (r"column state cap of 4 exceeded: \d+ states at column \d+ of 6; "
+                   r"raise it with MATCHBOUND_STATE_CAP")
+        with pytest.raises(CapExceeded, match=message):
+            saturating_count(b)
+        with pytest.raises(CapExceeded, match=message):
+            matching_marginals(b, 6)
+        monkeypatch.delenv("MATCHBOUND_STATE_CAP")
+        assert saturating_count(b) == math.factorial(6)
 
 
 class TestSubsetDecomposition:

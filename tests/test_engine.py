@@ -15,12 +15,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, Graph, complete_bipartite, cycle_graph,
                         disjoint_union, matching_marginals, matching_profile,
-                        matching_profile_bruteforce, parse_graph6, umc_extremal_profile)
+                        matching_profile_bruteforce, parse_graph6, saturating_count,
+                        umc_extremal_profile)
 from matchbound.counting import MaskProfiler
 from oracles import cycle_profile
 
@@ -61,9 +62,9 @@ def small_graphs(draw):
 
 
 @st.composite
-def bipartite_instances(draw):
-    size_x = draw(st.integers(1, 4))
-    size_y = draw(st.integers(size_x, 6))
+def bipartite_instances(draw, max_x=4, max_y=6):
+    size_x = draw(st.integers(1, max_x))
+    size_y = draw(st.integers(size_x, max_y))
     pairs = list(itertools.product(range(size_x), range(size_y)))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True))
     return BipartiteGraph(size_x, size_y, edges)
@@ -94,6 +95,15 @@ class TestProperties:
         assert table.p == [[Fraction(h, total) for h in row] for row in hits]
         assert table.mu == [sum((table.p[x][y] for x in range(b.size_x)), Fraction(0))
                             for y in range(b.size_y)]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_instances(max_x=6, max_y=8))
+    @example(BipartiteGraph(3, 5, [(0, 0), (1, 0), (2, 1), (2, 2)]))  # none saturating
+    @example(BipartiteGraph(2, 6, [(0, 1), (0, 4), (1, 4)]))  # isolated Y-vertices
+    @example(BipartiteGraph(6, 8))
+    def test_saturating_count_matches_engine(self, b):
+        assert saturating_count(b) == matching_profile(b.to_graph())[b.size_x]
 
 
 class TestPackingBoundaries:
