@@ -157,7 +157,10 @@ def _random_instance(ell: int, m: int, p: float, seed) -> tuple[BipartiteGraph, 
         if cnt > 0:
             return cand, cnt
     raise CapExceeded(
-        f"no usable instance in {GENERATOR_RETRY_CAP} draws (ell={ell}, M={m}, p={p})")
+        f"no usable instance in {GENERATOR_RETRY_CAP} draws (ell={ell}, M={m}, p={p}); "
+        "the draw cap is the fixed constant campaigns.GENERATOR_RETRY_CAP, so raise "
+        "--edge-prob: a draw with an isolated X-vertex or no X-saturating matching "
+        "is rejected")
 
 
 def _sharp_family(ell: int, m: int, limit: int) -> list[BipartiteGraph]:

@@ -30,6 +30,13 @@ DEFAULT_COUNT_CAP = 10_000
 DEFAULT_COVER_CAP = 100_000
 
 
+def _pair_fiber(comps: int, odd_paths: int, has_odd_cycle: bool) -> int:
+    """2^(c - op) * C(op, op/2), zero for odd-cycle patterns and odd op."""
+    if has_odd_cycle or odd_paths % 2:
+        return 0
+    return (1 << (comps - odd_paths)) * math.comb(odd_paths, odd_paths // 2)
+
+
 @dataclass(frozen=True)
 class UnionPattern:
     """A classified edge-multiset pattern.
@@ -53,10 +60,10 @@ class UnionPattern:
     def pair_fiber_size(self) -> int:
         """Number of ordered matching pairs with this multiset union:
         2^(c - op) * C(op, op/2), zero for odd-cycle patterns."""
-        if not self.valid or self.has_odd_cycle or self.odd_path_components % 2:
+        if not self.valid:
             return 0
-        op = self.odd_path_components
-        return 2 ** (self.non_two_cycle_components - op) * math.comb(op, op // 2)
+        return _pair_fiber(self.non_two_cycle_components, self.odd_path_components,
+                           self.has_odd_cycle)
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,49 +75,69 @@ class UnionPattern:
         }
 
 
-def _classify_edge_multiset(n: int, mult: Counter) -> UnionPattern:
-    key = tuple(sorted(mult.items()))
-    deg: Counter = Counter()
-    adj: dict[int, set] = {}
-    for (u, v), m in mult.items():
-        deg[u] += m
-        deg[v] += m
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    valid = all(m <= 2 for m in mult.values()) and all(d <= 2 for d in deg.values())
-    loose = 0
-    odd_paths = 0
-    has_odd = False
-    if valid:
-        seen: set = set()
-        for start in adj:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = set()
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                stack.extend(w for w in adj[u] if w not in comp)
-            seen |= comp
-            edge_count = sum(m for (u, v), m in mult.items() if u in comp)
-            if edge_count == len(comp) - 1:
-                loose += 1  # path component
-                if edge_count % 2 == 1:
-                    odd_paths += 1
-            elif edge_count == len(comp):
-                if len(comp) != 2:
-                    loose += 1  # proper cycle
-                    if len(comp) % 2 == 1:
-                        has_odd = True
-            else:
-                valid = False
-    if not valid:
-        loose = odd_paths = 0
-    return UnionPattern(n=n, edges=key, non_two_cycle_components=loose,
-                        odd_path_components=odd_paths, has_odd_cycle=has_odd,
+_INVALID = (False, 0, 0, False)
+
+
+def _classify(items) -> tuple[bool, int, int, bool]:
+    """The one pattern classifier: (valid, c, op, has_odd_cycle) of the edge
+    multiset given by its ((u, v), multiplicity) items.
+
+    Valid means every multiplicity and every degree is at most 2. A doubled
+    edge is then a component of its own (a 2-cycle); the single edges form
+    paths and cycles, which are walked with vertices as one-bit masks: each
+    vertex's neighbours are OR-ed into one mask, so the step out of an
+    interior vertex is that mask XOR the bit we came from. c counts the
+    components of the single edges, op their paths with an odd edge count.
+    """
+    once = twice = 0  # vertices of degree >= 1 and of degree 2
+    nbrs: dict[int, int] = {}
+    for (u, v), m in items:
+        bu = 1 << u
+        bv = 1 << v
+        b = bu | bv
+        if m == 1 and not twice & b:
+            twice |= once & b
+            once |= b
+            nbrs[bu] = nbrs.get(bu, 0) | bv
+            nbrs[bv] = nbrs.get(bv, 0) | bu
+        elif m == 2 and not once & b:
+            once |= b
+            twice |= b
+        else:
+            return _INVALID
+    comps = odd_paths = odd_cycle = seen = 0
+    ends = once & ~twice
+    while ends:  # paths, from their lowest end
+        start = ends & -ends
+        prev, cur, length = start, nbrs[start], 1
+        while twice & cur:
+            seen |= cur
+            prev, cur = cur, nbrs[cur] ^ prev
+            length += 1
+        ends ^= start | cur
+        comps += 1
+        odd_paths += length & 1
+    # single-edge vertices (the keys of nbrs, distinct bits) that are neither
+    # path ends nor path interiors lie on cycles
+    rest = sum(nbrs) & twice & ~seen
+    while rest:
+        start = rest & -rest
+        prev, cur, length = start, nbrs[start] & -nbrs[start], 1
+        while cur != start:
+            rest ^= cur
+            prev, cur = cur, nbrs[cur] ^ prev
+            length += 1
+        rest ^= start
+        comps += 1
+        odd_cycle |= length & 1
+    return True, comps, odd_paths, bool(odd_cycle)
+
+
+def _pattern(n: int, items) -> UnionPattern:
+    """A UnionPattern from sorted ((u, v), multiplicity) items."""
+    valid, comps, odd_paths, odd_cycle = _classify(items)
+    return UnionPattern(n=n, edges=tuple(items), non_two_cycle_components=comps,
+                        odd_path_components=odd_paths, has_odd_cycle=odd_cycle,
                         valid=valid)
 
 
@@ -142,7 +169,7 @@ def multiset_union_classify(m1, m2, graph: Graph | None = None,
     e2 = _check_matching(m2, nn, graph, "second matching")
     if len(e1) != len(e2):
         raise ValueError(f"matchings differ in size: {len(e1)} vs {len(e2)}")
-    return _classify_edge_multiset(nn, Counter(e1) + Counter(e2))
+    return _pattern(nn, sorted((Counter(e1) + Counter(e2)).items()))
 
 
 def project_cover_matching(cover_matching, g: Graph) -> UnionPattern:
@@ -166,12 +193,14 @@ def project_cover_matching(cover_matching, g: Graph) -> UnionPattern:
         xs.add(x)
         ys.add(y)
         mult[e] += 1
-    return _classify_edge_multiset(g.n, mult)
+    return _pattern(g.n, sorted(mult.items()))
 
 
 def count_pair_decompositions(pattern: UnionPattern, ell: int) -> int:
     """Number of ordered pairs of ell-matchings whose multiset union is the
-    pattern, by direct assignment enumeration (the fiber of the union map)."""
+    pattern, by direct assignment enumeration (the fiber of the union map).
+    An independent count: verify_fibers measures pair fibers by enumerating
+    the pairs themselves."""
     if not pattern.valid:
         return 0
     singles = []
@@ -251,10 +280,15 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
                   cover_cap: int = DEFAULT_COVER_CAP) -> AuditReport:
     """Exact fiber-size verification, by full enumeration.
 
-    Enumerates all 2*ell-matchings of the double cover, classifies their
-    projections, and checks:
-      (a) every odd-cycle-free pattern decomposes into ordered matching
-          pairs in exactly pair_fiber_size() ways,
+    A pattern is keyed by one integer, with a base-4 digit per edge of g
+    holding its multiplicity (at most 2, so digits never carry): edge i of g
+    and both of its cover edges are labelled 1 << 2*i, and a matching's key
+    is the sum of its labels. Enumerates all 2*ell-matchings of the double
+    cover, and all ordered pairs of ell-matchings of g (count^2 of them, at
+    most the cover count by (e), and never more than cover_cap), and checks:
+      (a) every odd-cycle-free pattern is the multiset union of exactly
+          pair_fiber_size() ordered matching pairs, every other pattern of
+          none, and every pair union is some cover matching's projection,
       (b) every pattern is hit by exactly 2^c cover matchings,
       (c) the squared ell-matching count equals the pair-fiber sum over
           odd-cycle-free patterns,
@@ -269,53 +303,78 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
         raise ValueError(f"ell must lie in 0..N/2 = 0..{g.n // 2}, got {ell}")
     count = matching_profile(g)[ell]
     if count > count_cap:
-        raise CapExceeded(f"{count} matchings exceed the audit cap {count_cap}")
+        raise CapExceeded(f"{count} matchings exceed the audit cap {count_cap}; raise "
+                          "it with verify_fibers(count_cap=...), which no CLI flag sets")
     gk = bipartite_double_cover(g).to_graph()
     cover_count = matching_profile(gk)[2 * ell]
     if cover_count > cover_cap:
         raise CapExceeded(
-            f"{cover_count} cover matchings exceed the audit cap {cover_cap}")
+            f"{cover_count} cover matchings exceed the audit cap {cover_cap}; raise "
+            "it with verify_fibers(cover_cap=...), which no CLI flag sets")
 
-    # label each cover edge (x, n + y) with the index of its image {x, y} in g
     n = g.n
+    labels = [1 << 2 * i for i in range(g.num_edges)]
+    # cover edge (x, n + y) carries the label of its image {x, y}
     index = {e: i for i, e in enumerate(g.edges)}
-    proj = [index[(u, v - n) if u < v - n else (v - n, u)] for u, v in gk.edges]
-    fibers = Counter(tuple(sorted(match))
-                     for match in enumerate_matchings(gk, 2 * ell, proj))
-    patterns = {key: _classify_edge_multiset(n, Counter(g.edges[i] for i in key))
-                for key in fibers}
+    cover_labels = [labels[index[(u, v - n) if u < v - n else (v - n, u)]]
+                    for u, v in gk.edges]
+    fibers = Counter(map(sum, enumerate_matchings(gk, 2 * ell, cover_labels)))
+    measured = count * count <= cover_cap  # by (e), unless the audit fails
+    keys = list(map(sum, enumerate_matchings(g, ell, labels))) if measured else []
+    pair_fibers = Counter(a + b for a in keys for b in keys)
+    digits = {}  # a key's lowest set bit -> its (edge, multiplicity) item
+    for i, e in enumerate(g.edges):
+        digits[labels[i]] = (e, 1)
+        digits[labels[i] << 1] = (e, 2)
+
+    def items(key):
+        out = []
+        while key:
+            low = key & -key
+            out.append(digits[low])
+            key ^= low
+        return out
 
     report = AuditReport(graph_id=graph_id, ell=ell)
     offenders = report.offenders
+
+    def offend(check, key, classified, **extra):
+        if len(offenders) < 10:
+            valid, comps, odd_paths, odd_cycle = classified
+            pattern = UnionPattern(n, tuple(items(key)), comps, odd_paths, odd_cycle, valid)
+            offenders.append({"check": check, "pattern": pattern.to_json_dict(), **extra})
 
     ok_a = ok_b = True
     sum_even = 0
     sum_even_claimed = 0
     sum_all = 0
-    for key, pattern in patterns.items():
-        if not pattern.valid:
+    for key, hits in fibers.items():
+        classified = _classify(items(key))
+        valid, comps, odd_paths, odd_cycle = classified
+        pairs = pair_fibers.pop(key, 0)
+        if not valid:
             ok_b = False
-            if len(offenders) < 10:
-                offenders.append({"check": "b", "pattern": pattern.to_json_dict(),
-                                  "detail": "projection is not a path/cycle pattern"})
+            offend("b", key, classified, detail="projection is not a path/cycle pattern")
             continue
-        expected_cover = pattern.cover_fiber_size()
+        expected_cover = 1 << comps
         sum_all += expected_cover
-        if fibers[key] != expected_cover:
+        if hits != expected_cover:
             ok_b = False
-            if len(offenders) < 10:
-                offenders.append({"check": "b", "pattern": pattern.to_json_dict(),
-                                  "expected": expected_cover, "actual": fibers[key]})
-        if not pattern.has_odd_cycle:
-            expected_pairs = pattern.pair_fiber_size()
+            offend("b", key, classified, expected=expected_cover, actual=hits)
+        expected_pairs = _pair_fiber(comps, odd_paths, odd_cycle)
+        if not odd_cycle:
             sum_even += expected_pairs
             sum_even_claimed += expected_cover
-            pairs = count_pair_decompositions(pattern, ell)
-            if pairs != expected_pairs:
-                ok_a = False
-                if len(offenders) < 10:
-                    offenders.append({"check": "a", "pattern": pattern.to_json_dict(),
-                                      "expected": expected_pairs, "actual": pairs})
+        if measured and pairs != expected_pairs:
+            ok_a = False
+            offend("a", key, classified, expected=expected_pairs, actual=pairs)
+    for key, pairs in pair_fibers.items():  # unions no cover matching reaches
+        ok_a = False
+        offend("a", key, _classify(items(key)), actual=pairs,
+               detail="no cover matching projects onto this pair union")
+    detail_a = "" if measured else (f"pair fibers not measured: {count * count} "
+                                    f"ordered pairs exceed the audit cap {cover_cap}")
+    ok_a = ok_a and measured
 
     report.totals = {
         "countSquared": count * count,
@@ -325,7 +384,7 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
         "coverCount": cover_count,
     }
     report.checks = [
-        AuditCheck("a: pair-fiber sizes", ok_a),
+        AuditCheck("a: pair-fiber sizes", ok_a, detail_a),
         AuditCheck("b: projection-fiber sizes", ok_b),
         AuditCheck("c: squared count identity", sum_even == count * count,
                    f"{sum_even} vs {count * count}"),

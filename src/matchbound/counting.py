@@ -127,13 +127,20 @@ def enumerate_matchings(g: Graph, size: int, labels=None):
     if size < 0:
         raise ValueError(f"matching size must be non-negative, got {size}")
     masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    # lows[i]: the lower endpoints of edges i.. (edges are sorted by them)
+    lows = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        lows[i] = lows[i + 1] | 1 << g.edges[i][0]
     labels = g.edges if labels is None else labels
-    return _walk(masks, labels, size) if size else iter([()])
+    return _walk(masks, lows, labels, size) if size else iter([()])
 
 
-def _walk(masks, labels, size: int):
+def _walk(masks, lows, labels, size: int):
     """Depth-first walk over edge indices with an explicit stack of
-    (index, used-vertex mask) for the edges chosen so far."""
+    (index, used-vertex mask) for the edges chosen so far. It descends into
+    an edge only if enough unused lower endpoints of later edges remain for
+    the rest, since the edges of a matching have distinct lower endpoints;
+    the branches it skips hold no matching, so the order is unchanged."""
     stack: list[tuple[int, int]] = []
     chosen: list = []
     i = used = 0
@@ -150,10 +157,12 @@ def _walk(masks, labels, size: int):
         elif len(chosen) == size - 1:
             yield (*chosen, labels[i])
         else:
-            stack.append((i, used))
-            chosen.append(labels[i])
-            used |= masks[i]
-            last += 1
+            nxt = used | masks[i]
+            if (lows[i + 1] & ~nxt).bit_count() >= size - 1 - len(chosen):
+                stack.append((i, used))
+                chosen.append(labels[i])
+                used = nxt
+                last += 1
         i += 1
 
 

@@ -385,7 +385,9 @@ def random_regular(n: int, d: int, seed, max_attempts: int = 10 ** 6) -> Graph:
             edges.add(e)
         if ok:
             return Graph(n, edges)
-    raise CapExceeded(f"no simple {d}-regular pairing found in {max_attempts} attempts")
+    raise CapExceeded(f"no simple {d}-regular pairing found in {max_attempts} attempts; "
+                      "raise it with random_regular(max_attempts=...), which no CLI "
+                      "flag sets")
 
 
 def random_graph(n: int, p: float, seed) -> Graph:

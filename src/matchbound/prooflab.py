@@ -56,7 +56,9 @@ class Enumeration:
             raise ValueError(f"need size_x == ell, got {b.size_x} vs {ell}")
         if ell > MAX_ELL or b.size_y > MAX_M:
             raise CapExceeded(
-                f"enumeration audits are capped at ell <= {MAX_ELL}, M <= {MAX_M}")
+                f"enumeration audits are capped at ell <= {MAX_ELL}, M <= {MAX_M}, "
+                f"got ell = {ell}, M = {b.size_y}; the caps are the fixed constants "
+                "prooflab.MAX_ELL and prooflab.MAX_M, with no knob")
         if ell > b.size_y:
             raise ValueError(f"need ell <= size_y, got {ell} > {b.size_y}")
         self.b = b

@@ -48,3 +48,43 @@ def matchings_by_subsets(edges, size: int) -> list[tuple]:
         if ok:
             out.append(subset)
     return out
+
+
+def classify_multigraph(items) -> tuple[bool, int, int, bool]:
+    """(valid, c, op, has_odd_cycle) of an edge multiset given as
+    ((u, v), multiplicity) items, from a vertex-set search per component.
+
+    Valid: every multiplicity and every degree (with multiplicity) is at most
+    2. c counts the components other than doubled edges, op the paths with an
+    odd number of edges; an odd cycle is a cycle on an odd number (>= 3) of
+    vertices. Invalid multisets read (False, 0, 0, False).
+    """
+    degree: dict = {}
+    adjacent: dict = {}
+    for (u, v), m in items:
+        for a, b in ((u, v), (v, u)):
+            degree[a] = degree.get(a, 0) + m
+            adjacent.setdefault(a, set()).add(b)
+    if any(m > 2 for _, m in items) or any(d > 2 for d in degree.values()):
+        return False, 0, 0, False
+    comps = odd_paths = 0
+    odd_cycle = False
+    seen: set = set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        comp = {start}
+        todo = [start]
+        while todo:
+            for w in adjacent[todo.pop()] - comp:
+                comp.add(w)
+                todo.append(w)
+        seen |= comp
+        edges = sum(m for (u, _v), m in items if u in comp)
+        if edges == len(comp) - 1:
+            comps += 1
+            odd_paths += edges % 2
+        elif len(comp) > 2:
+            comps += 1
+            odd_cycle = odd_cycle or len(comp) % 2 == 1
+    return True, comps, odd_paths, odd_cycle

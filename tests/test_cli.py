@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import os
 import subprocess
@@ -7,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import matchbound
-from matchbound import (complete_bipartite, cycle_graph, emit_bipartite, emit_edge_list,
-                        emit_graph6)
+from matchbound import (Graph, complete_bipartite, cycle_graph, emit_bipartite,
+                        emit_edge_list, emit_graph6, random_regular)
 from matchbound.cli import main
 
 C6_EDGES = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -243,6 +245,57 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestCapMessages:
+    """Every feasibility cap exits 2 with a message that gives the value
+    reached and names the knob that raises the cap, or says there is none."""
+
+    def _run(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        return err
+
+    def test_fiber_count_cap(self, tmp_path, capsys):
+        path = tmp_path / "k12.edges"
+        path.write_text(emit_edge_list(Graph(12, itertools.combinations(range(12), 2))))
+        assert self._run(["fibers", "--graph", str(path), "--ell", "3"], capsys) == (
+            "infeasible: 13860 matchings exceed the audit cap 10000; raise it with "
+            "verify_fibers(count_cap=...), which no CLI flag sets\n")
+
+    def test_fiber_cover_cap(self, tmp_path, capsys):
+        path = tmp_path / "k10.edges"
+        path.write_text(emit_edge_list(Graph(10, itertools.combinations(range(10), 2))))
+        assert self._run(["fibers", "--graph", str(path), "--ell", "5"], capsys) == (
+            "infeasible: 1334961 cover matchings exceed the audit cap 100000; raise it "
+            "with verify_fibers(cover_cap=...), which no CLI flag sets\n")
+
+    def test_prooflab_caps(self, tmp_path, capsys):
+        path = tmp_path / "k56.bip"
+        path.write_text(emit_bipartite(complete_bipartite(5, 6)))
+        assert self._run(["prooflab", "--graph", str(path), "--ell", "5"], capsys) == (
+            "infeasible: enumeration audits are capped at ell <= 4, M <= 5, got ell = 5, "
+            "M = 6; the caps are the fixed constants prooflab.MAX_ELL and "
+            "prooflab.MAX_M, with no knob\n")
+
+    @pytest.mark.parametrize("conjecture", ["genminc", "wild"])
+    def test_generator_retry_cap(self, conjecture, capsys):
+        argv = ["campaign", "--conjecture", conjecture, "--ell", "3", "--M", "4",
+                "--edge-prob", "0", "--samples", "1"]
+        assert self._run(argv, capsys) == (
+            "infeasible: no usable instance in 1000 draws (ell=3, M=4, p=0.0); the draw "
+            "cap is the fixed constant campaigns.GENERATOR_RETRY_CAP, so raise "
+            "--edge-prob: a draw with an isolated X-vertex or no X-saturating matching "
+            "is rejected\n")
+
+    def test_random_regular_attempts(self, monkeypatch, capsys):
+        monkeypatch.setattr(matchbound.campaigns, "random_regular",
+                            functools.partial(random_regular, max_attempts=3))
+        argv = ["campaign", "--conjecture", "umc", "--N", "16", "--d", "8", "--samples", "1"]
+        assert self._run(argv, capsys) == (
+            "infeasible: no simple 8-regular pairing found in 3 attempts; raise it with "
+            "random_regular(max_attempts=...), which no CLI flag sets\n")
 
 
 class TestDispatchSequence:

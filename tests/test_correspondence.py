@@ -1,14 +1,21 @@
-from dataclasses import replace
-from itertools import product
+import json
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchbound import (CapExceeded, Graph, complete_bipartite, correspondence,
                         count_pair_decompositions, cycle_graph, disjoint_union,
-                        enumerate_matchings, multiset_union_classify,
+                        enumerate_matchings, multiset_union_classify, parse_graph6,
                         project_cover_matching, random_graph, verify_fibers)
+from oracles import classify_multigraph
 
 C3_PLUS_K2 = disjoint_union([cycle_graph(3), Graph(2, [(0, 1)])])
+TWO_TRIANGLES = disjoint_union([cycle_graph(3), cycle_graph(3)])
+# verify_fibers reports recorded before pattern keys became integers
+GOLDEN = json.loads((Path(__file__).parent / "data" / "fiber_reports.json").read_text())
 
 
 class TestUnionClassify:
@@ -206,20 +213,21 @@ class TestVerifyFibers:
 
     def test_caps(self):
         g = complete_bipartite(5, 5).to_graph()
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^200 matchings exceed the audit cap 10; "
+                           r"raise it with verify_fibers\(count_cap=\.\.\.\)"):
             verify_fibers(g, 2, count_cap=10)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"cover matchings exceed the audit cap 10; "
+                           r"raise it with verify_fibers\(cover_cap=\.\.\.\)"):
             verify_fibers(g, 2, cover_cap=10)
 
     def test_invalid_pattern_offenders_capped(self, monkeypatch):
         # classify every projection as invalid: far more than ten offenders
-        classify = correspondence._classify_edge_multiset
-        monkeypatch.setattr(correspondence, "_classify_edge_multiset",
-                            lambda n, mult: replace(classify(n, mult), valid=False))
+        monkeypatch.setattr(correspondence, "_classify", lambda items: (False, 0, 0, False))
         rep = verify_fibers(cycle_graph(8), 2)
         assert not rep.passed
         assert 1 <= len(rep.offenders) <= 10
         assert all(o["check"] == "b" for o in rep.offenders)
+        assert rep.offenders[0]["detail"] == "projection is not a path/cycle pattern"
 
     def test_json_shape(self):
         doc = verify_fibers(cycle_graph(3), 1, graph_id="C3").to_json_dict()
@@ -228,3 +236,174 @@ class TestVerifyFibers:
         assert doc["totals"]["countSquared"] == "9"
         assert len(doc["checks"]) == 5
         assert doc["offenders"] == []
+
+
+@st.composite
+def edge_multisets(draw):
+    """Arbitrary edge multisets, many of them invalid (degree or
+    multiplicity above 2)."""
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+    mults = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=len(edges),
+                          max_size=len(edges)))
+    return sorted(zip(edges, mults))
+
+
+@st.composite
+def path_cycle_unions(draw):
+    """Valid patterns: vertex-disjoint paths, cycles and doubled edges."""
+    n = draw(st.integers(2, 14))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    items = []
+    for a, b in zip([0] + cuts, cuts + [n]):
+        seg = order[a:b]
+        kind = draw(st.sampled_from(["path", "cycle", "double"]))
+        if len(seg) == 2 and kind == "double":
+            items.append(((min(seg), max(seg)), 2))
+            continue
+        closing = [(seg[-1], seg[0])] if kind == "cycle" and len(seg) >= 3 else []
+        for u, v in list(zip(seg, seg[1:])) + closing:
+            items.append(((min(u, v), max(u, v)), 1))
+    return sorted(items)
+
+
+class TestClassifier:
+    """The one pattern classifier against a per-component set search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_multisets())
+    @example([])
+    @example([((0, 1), 1), ((0, 2), 1), ((1, 2), 1)])
+    @example([((0, 1), 2), ((1, 2), 1)])
+    @example([((0, 1), 3)])
+    def test_arbitrary_multisets(self, items):
+        assert correspondence._classify(items) == classify_multigraph(items)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_cycle_unions())
+    def test_path_cycle_unions(self, items):
+        expected = classify_multigraph(items)
+        assert expected[0]
+        assert correspondence._classify(items) == expected
+
+    def test_two_odd_cycles(self):
+        items = sorted(((u, v), 1) for u, v in TWO_TRIANGLES.edges)
+        assert correspondence._classify(items) == (True, 2, 0, True)
+
+
+class TestRecordedReports:
+    """Reports byte for byte as recorded from the Counter-based audit."""
+
+    @pytest.mark.parametrize("entry", GOLDEN["graphs"], ids=lambda e: e["name"])
+    def test_reports(self, entry):
+        g = parse_graph6(entry["graph6"])
+        for ell, text in entry["reports"].items():
+            assert verify_fibers(g, int(ell), graph_id=entry["name"]).to_json() == text
+        for ell in entry["cappedElls"]:
+            with pytest.raises(CapExceeded):
+                verify_fibers(g, ell)
+
+    def test_corpus_coverage(self):
+        assert len(GOLDEN["graphs"]) == 43
+        assert sum(len(e["reports"]) for e in GOLDEN["graphs"]) == 170
+        for e in GOLDEN["graphs"]:  # every ell is recorded or listed as capped
+            ells = sorted([*map(int, e["reports"]), *e["cappedElls"]])
+            assert ells == list(range(parse_graph6(e["graph6"]).n // 2 + 1))
+
+
+def _checks(rep):
+    return {c.name[0]: c.passed for c in rep.checks}
+
+
+class TestAuditCatchesFaults:
+    """Each measured fiber is compared with its law: a fault in the
+    classifier or in either enumeration fails the check that owns it."""
+
+    def test_wrong_cover_fiber_law(self, monkeypatch):
+        # one component too many predicts 2^(c+1) cover matchings
+        classify = correspondence._classify
+
+        def extra_component(items):
+            valid, comps, odd_paths, odd_cycle = classify(items)
+            return valid, comps + 1, odd_paths, odd_cycle
+        monkeypatch.setattr(correspondence, "_classify", extra_component)
+        rep = verify_fibers(cycle_graph(6), 2)
+        assert not _checks(rep)["b"]
+        first = next(o for o in rep.offenders if o["check"] == "b")
+        assert first["expected"] == 2 * first["actual"]
+
+    @pytest.mark.parametrize("fault", ["drop", "duplicate"])
+    def test_dropped_or_duplicated_pair(self, monkeypatch, fault):
+        g = cycle_graph(6)
+        real = correspondence.enumerate_matchings
+
+        def faulty(graph, size, labels=None):
+            out = list(real(graph, size, labels))
+            if graph is g:  # the ell-matchings whose pairs are counted
+                out = out[1:] if fault == "drop" else out + out[:1]
+            return out
+        monkeypatch.setattr(correspondence, "enumerate_matchings", faulty)
+        rep = verify_fibers(g, 2)
+        assert _checks(rep) == {"a": False, "b": True, "c": True, "d": True, "e": True}
+        assert rep.offenders and all(o["check"] == "a" for o in rep.offenders)
+        off = rep.offenders[0]
+        assert (off["actual"] < off["expected"]) == (fault == "drop")
+
+    def test_pair_union_no_cover_matching_reaches(self, monkeypatch):
+        g = cycle_graph(6)
+        first = next(enumerate_matchings(g, 2))
+        doubled = sum(2 << 2 * g.edges.index(e) for e in first)  # the key of first + first
+        real = correspondence.enumerate_matchings
+
+        def faulty(graph, size, labels=None):
+            out = real(graph, size, labels)
+            if graph is not g:  # the cover: hide the matching onto first + first
+                out = [m for m in out if sum(m) != doubled]
+            return out
+        monkeypatch.setattr(correspondence, "enumerate_matchings", faulty)
+        rep = verify_fibers(g, 2)
+        assert not _checks(rep)["a"] and not _checks(rep)["d"]
+        assert rep.offenders == [{
+            "check": "a",
+            "pattern": {"edges": [[u, v, 2] for u, v in first], "nonTwoCycleComponents": 0,
+                        "oddPathComponents": 0, "hasOddCycle": False, "valid": True},
+            "actual": 1, "detail": "no cover matching projects onto this pair union"}]
+
+    def test_classifier_missing_odd_cycles(self, monkeypatch):
+        # two triangles: the only pattern of the cover's perfect matchings
+        # holds two odd cycles and no pair of 3-matchings (there is none)
+        assert verify_fibers(TWO_TRIANGLES, 3).passed
+        classify = correspondence._classify
+
+        def blind(items):
+            valid, comps, odd_paths, _odd_cycle = classify(items)
+            return valid, comps, odd_paths, False
+        monkeypatch.setattr(correspondence, "_classify", blind)
+        rep = verify_fibers(TWO_TRIANGLES, 3)
+        assert _checks(rep) == {"a": False, "b": True, "c": False, "d": True, "e": True}
+        assert rep.offenders[0]["check"] == "a"
+        assert (rep.offenders[0]["expected"], rep.offenders[0]["actual"]) == (4, 0)
+
+    def test_pair_work_guard(self, monkeypatch):
+        # a cover count below the square would fail (e); the pairs are then
+        # not enumerated, since their number is no longer bounded by the cap
+        real = correspondence.matching_profile
+
+        def short_cover(graph):
+            prof = real(graph)
+            return prof if graph.n == 6 else [min(c, 8) for c in prof]
+        enumerated = []
+        real_enumerate = correspondence.enumerate_matchings
+
+        def recording(graph, size, labels=None):
+            enumerated.append(graph.n)
+            return real_enumerate(graph, size, labels)
+        monkeypatch.setattr(correspondence, "matching_profile", short_cover)
+        monkeypatch.setattr(correspondence, "enumerate_matchings", recording)
+        rep = verify_fibers(cycle_graph(6), 1, cover_cap=10)
+        assert enumerated == [12]  # the cover only
+        assert rep.checks[0].detail == \
+            "pair fibers not measured: 36 ordered pairs exceed the audit cap 10"
+        assert not _checks(rep)["a"] and not _checks(rep)["e"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Graph, ParseError, as_bipartite,
                         bipartite_double_cover, complete_bipartite, cycle_graph,
@@ -108,6 +110,56 @@ class TestGraph6:
         s = emit_graph6(g)
         assert s.startswith("~")
         assert parse_graph6(s) == g
+
+
+
+@st.composite
+def graphs(draw, sizes=st.integers(1, 12)):
+    """Graphs with up to 40 edges, isolated vertices and empty edge sets
+    included."""
+    n = draw(sizes)
+    if n == 1:
+        return Graph(1)
+    edge = st.integers(0, n - 2).flatmap(
+        lambda u: st.tuples(st.just(u), st.integers(u + 1, n - 1)))
+    return Graph(n, draw(st.lists(edge, unique=True, max_size=40)))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    size_x = draw(st.integers(1, 8))
+    size_y = draw(st.integers(1, 8))
+    edge = st.tuples(st.integers(0, size_x - 1), st.integers(0, size_y - 1))
+    return BipartiteGraph(size_x, size_y, draw(st.lists(edge, unique=True, max_size=40)))
+
+
+class TestRoundTripProperties:
+    """emit then parse gives back the same graph, in all three formats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(sizes=st.one_of(st.integers(1, 12), st.integers(58, 68))))
+    @example(Graph(1))
+    @example(Graph(62))
+    @example(Graph(63))
+    @example(Graph(63, [(0, 62)]))
+    def test_graph6(self, g):
+        text = emit_graph6(g)
+        assert text.startswith("~") == (g.n >= 63)
+        assert parse_graph6(text) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    @example(Graph(1))
+    @example(Graph(5, [(3, 4)]))
+    def test_edge_list(self, g):
+        assert parse_edge_list(emit_edge_list(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(bipartite_graphs())
+    @example(BipartiteGraph(1, 1, []))
+    @example(BipartiteGraph(3, 2, [(2, 1)]))
+    def test_bipartite(self, b):
+        assert parse_bipartite(emit_bipartite(b)) == b
 
 
 class TestConstructions:
