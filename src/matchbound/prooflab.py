@@ -1,9 +1,12 @@
 """Exact numerical verification of the entropy argument on tiny bipartite
 instances.
 
-Everything probabilistic is enumerated over the uniform (matching,
-insertion-order) pair with exact rationals; only entropies and logs are
-floating point, and every inequality gets a uniform 1e-9 slack.
+The probability space is a uniform X-saturating matching together with an
+independent uniform order in which the X-vertices are reached. Every law is
+enumerated exactly: the tables of an X-vertex depend on the order only
+through the set of X-vertices reached before it, so each vertex walks its
+predecessor sets with integer weights, and only entropies and logs are
+floating point. Every inequality gets a uniform 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -48,8 +51,15 @@ def _frac_str(fr: Fraction) -> str:
 
 class Enumeration:
     """All X-saturating matchings of b as partner tuples, plus the exact
-    joint tables over the uniform (matching, order) pair. Built once and
-    shared by every audit of (b, ell)."""
+    joint tables over a uniform matching and an independent uniform order in
+    which the X-vertices are reached. Built once and shared by every audit
+    of (b, ell).
+
+    Every table for x depends on the order only through the set of
+    X-vertices reached before x, and a uniform order puts a given k-set
+    there in k!(ell-1-k)! of its ell! cases. So each x walks its predecessor
+    sets, not its orders, adds integer multiplicities, and divides by
+    count * ell! once per table entry."""
 
     def __init__(self, b: BipartiteGraph, ell: int):
         if b.size_x != ell:
@@ -71,78 +81,85 @@ class Enumeration:
         self.count = len(self.fs)
         if self.count == 0:
             raise ValueError("graph has no X-saturating matching")
-        self.orders = list(permutations(range(ell)))
-        self.weight = Fraction(1, self.count * len(self.orders))
-        # exact partner marginals
-        self.p = [[Fraction(0)] * self.m for _ in range(ell)]
-        unit = Fraction(1, self.count)
+        # exact partner marginals from integer partner counts
+        self._partner_counts = [[0] * self.m for _ in range(ell)]
         for f in self.fs:
             for x, y in enumerate(f):
-                self.p[x][y] += unit
-        self.mu = [sum((self.p[x][y] for x in range(ell)), Fraction(0))
-                   for y in range(self.m)]
+                self._partner_counts[x][y] += 1
+        self.p = [[Fraction(c, self.count) for c in row] for row in self._partner_counts]
+        self.mu = [Fraction(sum(col), self.count) for col in zip(*self._partner_counts)]
         self.nu = [1 - v for v in self.mu]
-        self._size_tables: dict[int, tuple] = {}
+        self._by_x: dict[int, tuple] = {}
 
-    def _outcomes(self, x: int):
-        """Yield (partner, prefix, available-set) per (matching, order)."""
-        ally = frozenset(range(self.m))
-        for order in self.orders:
-            pos = order.index(x)
-            before = order[:pos]
-            for f in self.fs:
-                taken = frozenset(f[w] for w in before)
-                yield f[x], tuple((w, f[w]) for w in before), ally - taken
+    def _tables(self, x: int) -> tuple:
+        """(size tables, H given available set, H given history) for x,
+        computed once per x."""
+        if not 0 <= x < self.ell:
+            raise ValueError(f"x out of range: {x}")
+        if x not in self._by_x:
+            self._by_x[x] = self._walk(x)
+        return self._by_x[x]
 
     def size_tables(self, x: int):
         """Exact tables over the available-set size k:
         unconditional q[k], conditional-on-partner q_cond[y][k], and the
         joint r[(k, y)] = Pr(size k and y still available). Computed once
         per x; callers must not modify them."""
-        if not 0 <= x < self.ell:
-            raise ValueError(f"x out of range: {x}")
-        if x not in self._size_tables:
-            self._size_tables[x] = self._compute_size_tables(x)
-        return self._size_tables[x]
-
-    def _compute_size_tables(self, x: int):
-        q: dict[int, Fraction] = defaultdict(Fraction)
-        q_cond: dict[int, dict[int, Fraction]] = defaultdict(lambda: defaultdict(Fraction))
-        r: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-        w = self.weight
-        for partner, _hist, avail in self._outcomes(x):
-            k = len(avail)
-            q[k] += w
-            q_cond[partner][k] += w
-            for y in avail:
-                r[(k, y)] += w
-        for y, table in q_cond.items():
-            norm = self.p[x][y]
-            for k in table:
-                table[k] /= norm
-        return dict(q), {y: dict(t) for y, t in q_cond.items()}, dict(r)
+        return self._tables(x)[0]
 
     def conditional_entropy_given_available(self, x: int) -> float:
-        joint: dict = defaultdict(Fraction)
-        for partner, _hist, avail in self._outcomes(x):
-            joint[(partner, avail)] += self.weight
-        return _conditional_entropy(joint, key=lambda k: k[1])
+        """H(x's partner | the Y-vertices still available when x is reached)."""
+        return self._tables(x)[1]
 
     def conditional_entropy_given_history(self, x: int) -> float:
-        joint: dict = defaultdict(Fraction)
-        for partner, hist, _avail in self._outcomes(x):
-            joint[(partner, frozenset(hist))] += self.weight
-        return _conditional_entropy(joint, key=lambda k: k[1])
+        """H(x's partner | the X-vertices reached before x and their partners)."""
+        return self._tables(x)[2]
+
+    def _walk(self, x: int) -> tuple:
+        # predecessor sets in order of first appearance among the orders, each
+        # counted with the orders that give it; with the matchings in
+        # enumeration order within each set, every dict below first sees its
+        # keys in the order of the (order, matching) walk, so every float sum
+        # adds the same terms in the same order
+        sets = Counter(tuple(sorted(order[:order.index(x)]))
+                       for order in permutations(range(self.ell)))
+        q, r = defaultdict(int), defaultdict(int)
+        q_cond = defaultdict(lambda: defaultdict(int))
+        given_available, given_history = defaultdict(int), defaultdict(int)
+        for before, mult in sets.items():
+            k = self.m - len(before)
+            q[k] += mult * self.count
+            for f in self.fs:
+                taken = tuple(f[w] for w in before)
+                q_cond[f[x]][k] += mult
+                for y in range(self.m):
+                    if y not in taken:
+                        r[(k, y)] += mult
+                given_available[(f[x], frozenset(taken))] += mult
+                given_history[(f[x], (before, taken))] += mult
+        orders = math.factorial(self.ell)
+        denom = self.count * orders
+        tables = (
+            {k: Fraction(c, denom) for k, c in q.items()},
+            {y: {k: Fraction(c, orders * self._partner_counts[x][y])
+                 for k, c in table.items()}
+             for y, table in q_cond.items()},
+            {key: Fraction(c, denom) for key, c in r.items()},
+        )
+        return (tables, _conditional_entropy(given_available, denom),
+                _conditional_entropy(given_history, denom))
 
 
-def _conditional_entropy(joint: dict, key) -> float:
-    marg: dict = defaultdict(Fraction)
-    for k, pr in joint.items():
-        marg[key(k)] += pr
+def _conditional_entropy(joint: dict, denom: int) -> float:
+    """H(partner | condition) in bits from integer weights over denom, keyed
+    by (partner, condition). The int divisions round exactly as the floats
+    of the reduced fractions would."""
+    marg: dict = {}
+    for (_partner, cond), c in joint.items():
+        marg[cond] = marg.get(cond, 0) + c
     h = 0.0
-    for k, pr in joint.items():
-        if pr:
-            h += float(pr) * math.log2(marg[key(k)] / pr)
+    for (_partner, cond), c in joint.items():
+        h += c / denom * math.log2(marg[cond] / c)
     return h
 
 

@@ -7,7 +7,9 @@ enumerations, and (for graph6) networkx as an external reference encoder.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from collections import defaultdict
+from fractions import Fraction
+from itertools import combinations, permutations
 
 
 def cycle_profile(n: int) -> list[int]:
@@ -88,3 +90,53 @@ def classify_multigraph(items) -> tuple[bool, int, int, bool]:
             comps += 1
             odd_cycle = odd_cycle or len(comp) % 2 == 1
     return True, comps, odd_paths, odd_cycle
+
+
+def order_walk(edges, ell: int, m: int, x: int) -> tuple:
+    """The proof-lab tables of X-vertex x by walking every (insertion order,
+    X-saturating matching) pair with one Fraction weight per pair: (q, q_cond,
+    r, H(partner | available set), H(partner | history)).
+
+    Matchings are partner tuples in lexicographic order, found by brute force
+    over all ell-permutations of Y, so the float sums add their terms in the
+    proof lab's order.
+    """
+    edge_set = set(edges)
+    fs = [f for f in permutations(range(m), ell)
+          if all((w, y) in edge_set for w, y in enumerate(f))]
+    orders = list(permutations(range(ell)))
+    weight = Fraction(1, len(fs) * len(orders))
+    q: dict = defaultdict(Fraction)
+    q_cond: dict = defaultdict(lambda: defaultdict(Fraction))
+    r: dict = defaultdict(Fraction)
+    given_available: dict = defaultdict(Fraction)
+    given_history: dict = defaultdict(Fraction)
+    for order in orders:
+        before = order[:order.index(x)]
+        for f in fs:
+            avail = frozenset(range(m)) - frozenset(f[w] for w in before)
+            k = len(avail)
+            q[k] += weight
+            q_cond[f[x]][k] += weight
+            for y in avail:
+                r[(k, y)] += weight
+            given_available[(f[x], avail)] += weight
+            given_history[(f[x], frozenset((w, f[w]) for w in before))] += weight
+    for y, table in q_cond.items():
+        norm = Fraction(sum(f[x] == y for f in fs), len(fs))
+        for k in table:
+            table[k] /= norm
+    return (dict(q), {y: dict(t) for y, t in q_cond.items()}, dict(r),
+            _conditional_entropy(given_available), _conditional_entropy(given_history))
+
+
+def _conditional_entropy(joint: dict) -> float:
+    """H(first | second) in bits of a joint law keyed by pairs, summed in the
+    joint's key order."""
+    marg: dict = defaultdict(Fraction)
+    for (_a, b), pr in joint.items():
+        marg[b] += pr
+    h = 0.0
+    for (_a, b), pr in joint.items():
+        h += float(pr) * math.log2(marg[b] / pr)
+    return h

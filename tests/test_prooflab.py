@@ -1,18 +1,27 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Enumeration, complete_bipartite,
-                        gx_step_audit, inequality_chain_audit, matching_marginals,
-                        middle_step_audit, rk_formula_audit, step_refinement_audit,
-                        thm_bipartite_bound, tiny_bipartite_catalog,
-                        zx_distribution_audit)
+                        emit_bipartite, gx_step_audit, inequality_chain_audit,
+                        matching_marginals, middle_step_audit, parse_bipartite,
+                        rk_formula_audit, step_refinement_audit, thm_bipartite_bound,
+                        tiny_bipartite_catalog, zx_distribution_audit)
+from matchbound.cli import main
 from matchbound.prooflab import TOL
+from oracles import order_walk
 
 MARGINAL_EXAMPLE = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
 CATALOG = tiny_bipartite_catalog()
+# reports recorded from the enumeration that walked every (order, matching) pair
+GOLDEN = json.loads((Path(__file__).parent / "data" / "prooflab_reports.json").read_text())
 
 
 class TestSizeDistribution:
@@ -162,3 +171,77 @@ class TestCatalog:
         again = tiny_bipartite_catalog()
         assert [(b.edges, ell) for b, ell in again] == \
             [(b.edges, ell) for b, ell in CATALOG]
+
+
+def _assert_matches_order_walk(b, ell):
+    enum = Enumeration(b, ell)
+    for x in range(ell):
+        q, q_cond, r, h_available, h_history = order_walk(b.edges, ell, b.size_y, x)
+        tables = enum.size_tables(x)
+        assert tables == (q, q_cond, r), (b.edges, ell, x)
+        # the chain's float sums read q_cond in key order
+        assert [(y, list(t)) for y, t in tables[1].items()] == \
+            [(y, list(t)) for y, t in q_cond.items()]
+        # bit for bit: the same terms summed in the same order
+        assert enum.conditional_entropy_given_available(x) == h_available, (b.edges, x)
+        assert enum.conditional_entropy_given_history(x) == h_history, (b.edges, x)
+
+
+@st.composite
+def small_instances(draw):
+    ell = draw(st.integers(1, 4))
+    m = draw(st.integers(ell, 5))
+    pairs = list(itertools.product(range(ell), range(m)))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=ell))
+    return BipartiteGraph(ell, m, edges), ell
+
+
+class TestAgainstOrderWalk:
+    """The predecessor-set walk against the walk over every (order,
+    matching) pair."""
+
+    def test_catalog(self):
+        for b, ell in CATALOG:
+            _assert_matches_order_walk(b, ell)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances())
+    def test_small_instances(self, instance):
+        b, ell = instance
+        edge_set = set(b.edges)
+        if not any(all((x, y) in edge_set for x, y in enumerate(f))
+                   for f in permutations(range(b.size_y), ell)):
+            with pytest.raises(ValueError, match="saturating"):
+                Enumeration(b, ell)
+            return
+        _assert_matches_order_walk(b, ell)
+
+
+class TestXRange:
+    @pytest.mark.parametrize("accessor", ["size_tables",
+                                          "conditional_entropy_given_available",
+                                          "conditional_entropy_given_history"])
+    @pytest.mark.parametrize("x", [-1, 2, 5])
+    def test_out_of_range(self, accessor, x):
+        enum = Enumeration(complete_bipartite(2, 2), 2)
+        with pytest.raises(ValueError, match=rf"^x out of range: {x}$"):
+            getattr(enum, accessor)(x)
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize("entry", [pytest.param(e, id=f"{i:03d}-ell{e['ell']}")
+                                       for i, e in enumerate(GOLDEN["instances"])])
+    def test_report(self, entry, tmp_path, capsys):
+        path = tmp_path / "g.bip"
+        path.write_text(entry["bipartite"])
+        assert main(["prooflab", "--graph", str(path), "--ell", str(entry["ell"])]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == entry["stdout"] and captured.err == ""
+        enum = Enumeration(parse_bipartite(entry["bipartite"]), entry["ell"])
+        assert repr(step_refinement_audit(enum)) == entry["stepRefinement"]
+        assert repr(middle_step_audit(enum)) == entry["middleStep"]
+        assert repr(gx_step_audit(enum)) == entry["gxStep"]
+
+    def test_corpus_is_the_catalog(self):
+        assert [(e["bipartite"], e["ell"]) for e in GOLDEN["instances"]] == \
+            [(emit_bipartite(b), ell) for b, ell in CATALOG]
