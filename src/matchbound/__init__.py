@@ -7,11 +7,9 @@ from .bounds import (BoundEntry, BoundReport, binary_entropy, bound_report,
                      phi_wild, psi, reports_to_csv, thm_bipartite_bound,
                      thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                      wild_bound)
-from .campaigns import (CampaignConfig, CampaignReport, Violation, run_campaign,
-                        run_genminc_campaign, run_umc_campaign)
-from .correspondence import (AuditReport, UnionPattern, count_pair_decompositions,
-                             multiset_union_classify, project_cover_matching,
-                             verify_fibers)
+from .campaigns import CampaignConfig, CampaignReport, Violation, run_campaign
+from .correspondence import (AuditReport, UnionPattern, multiset_union_classify,
+                             project_cover_matching, verify_fibers)
 from .counting import (MarginalTable, MaskProfiler, enumerate_matchings, kdd_profile,
                        matching_marginals, matching_profile,
                        matching_profile_bruteforce, profile_convolution,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -267,9 +266,6 @@ class BoundReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     def csv_rows(self) -> list[list[str]]:
         fmt = lambda v: "" if v is None else format(v, ".12g")
         rows = []
@@ -305,6 +301,10 @@ def bound_report(graph_or_bip, ells, graph_id: str = "",
     else:
         g = graph_or_bip
         bip = as_bipartite(g)
+    ells = list(ells)
+    for ell in ells:
+        if not 0 <= ell <= g.n // 2:
+            raise ValueError(f"ell must lie in 0..{g.n // 2}, got {ell}")
     try:
         prof = matching_profile(g)
     except CapExceeded:
@@ -314,9 +314,7 @@ def bound_report(graph_or_bip, ells, graph_id: str = "",
 
 def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
             ell: int, graph_id: str, phi_interp: str) -> BoundReport:
-    exact_count: int | None = None
-    if prof is not None:
-        exact_count = prof[ell] if 0 <= ell < len(prof) else 0
+    exact_count = None if prof is None else prof[ell]
     exact_log2 = log2_int(exact_count) if exact_count else None
 
     report = BoundReport(graph_id=graph_id, ell=ell,
@@ -330,36 +328,27 @@ def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
                 entry.slack_bits = entry.value_bits - exact_log2
         report.entries.append(entry)
 
-    degs = g.degrees
-    no_isolated = min(degs) >= 1
-    regular = no_isolated and all(d == degs[0] for d in degs)
-    ell_ok = 0 <= 2 * ell <= g.n
+    no_isolated = not g.has_isolated_vertex()
+    regular = no_isolated and g.is_regular()
 
-    add("cgt", regular and ell_ok, lambda: cgt_bound(g.n, degs[0], ell))
-    add("dregular", regular and ell_ok, lambda: thm_dregular_bound(g.n, degs[0], ell))
-    add("general", no_isolated and ell_ok, lambda: thm_general_bound(g, ell))
+    add("cgt", regular, lambda: cgt_bound(g.n, g.degrees[0], ell))
+    add("dregular", regular, lambda: thm_dregular_bound(g.n, g.degrees[0], ell))
+    add("general", no_isolated, lambda: thm_general_bound(g, ell))
 
-    if bip is not None:
-        dx = bip.degrees_x
-        dx_ok = min(dx) >= 1
-        add("bregman", dx_ok and bip.size_x == bip.size_y == ell,
-            lambda: bregman_bound(dx))
-        add("bipartite", dx_ok and 1 <= ell <= min(bip.size_x, bip.size_y),
-            lambda: thm_bipartite_bound(bip, ell))
-        # the conjectured bounds need the ell-sized part on the X side;
-        # transpose when only the other orientation fits
-        gen = bip
-        if bip.size_x != ell and bip.size_y == ell <= bip.size_x:
-            gen = BipartiteGraph(bip.size_y, bip.size_x,
-                                 [(y, x) for x, y in bip.edges])
-        gen_ok = min(gen.degrees_x) >= 1 and gen.size_x == ell <= gen.size_y
-        add("genminc", gen_ok, lambda: genminc_bound(gen, ell), conjectural=True)
-        add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
-            lambda: wild_bound(gen, ell, phi_interp), conjectural=True)
-    else:
-        add("bregman", False, None)
-        add("bipartite", False, None)
-        add("genminc", False, None, conjectural=True)
-        add(f"wild-{phi_interp}", False, None, conjectural=True)
+    # the conjectured bounds need the ell-sized part on the X side;
+    # transpose when only the other orientation fits
+    gen = bip
+    if bip is not None and bip.size_x != ell and bip.size_y == ell <= bip.size_x:
+        gen = BipartiteGraph(bip.size_y, bip.size_x, [(y, x) for x, y in bip.edges])
+    dx_ok = bip is not None and min(bip.degrees_x) >= 1
+    gen_ok = (gen is not None and min(gen.degrees_x) >= 1
+              and gen.size_x == ell <= gen.size_y)
+    add("bregman", dx_ok and bip.size_x == bip.size_y == ell,
+        lambda: bregman_bound(bip.degrees_x))
+    add("bipartite", dx_ok and 1 <= ell <= min(bip.size_x, bip.size_y),
+        lambda: thm_bipartite_bound(bip, ell))
+    add("genminc", gen_ok, lambda: genminc_bound(gen, ell), conjectural=True)
+    add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
+        lambda: wild_bound(gen, ell, phi_interp), conjectural=True)
 
     return report

@@ -37,8 +37,31 @@ class CampaignConfig:
     phi_interp: str = "gamma"
 
     def __post_init__(self):
+        """Check every campaign rule, so a config that exists can be run."""
+        if self.conjecture not in ("umc", "genminc", "wild"):
+            raise ValueError(f"unknown conjecture {self.conjecture!r}")
         if self.samples < 0:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
+        if self.conjecture == "umc":
+            n, d = self.n_vertices, self.d
+            if n is None or d is None:
+                raise ValueError("umc campaigns need N and d")
+            if d < 1 or n % (2 * d) != 0:
+                raise ValueError(f"2d = {2 * d} must divide N = {n}")
+            if any(not 0 <= l <= n // 2 for l in self.ell_values or ()):
+                raise ValueError(f"ell values must lie in 0..{n // 2}")
+        else:
+            ell, m = self.ell, self.size_y
+            if ell is None or m is None:
+                raise ValueError("genminc campaigns need ell and M")
+            if not 1 <= ell <= m:
+                raise ValueError(f"need 1 <= ell <= M, got ell={ell}, M={m}")
+        if self.family not in ("random", "sharp"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.phi_interp not in ("gamma", "literal"):
+            raise ValueError(f"unknown interpretation {self.phi_interp!r}")
+        if not 0 <= self.edge_prob <= 1:  # NaN fails the comparison too
+            raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,22 +129,24 @@ class CampaignReport:
         return json.dumps(self.to_json_dict(include_runtime), indent=2)
 
 
-def run_umc_campaign(cfg: CampaignConfig) -> CampaignReport:
+def run_campaign(cfg: CampaignConfig) -> CampaignReport:
+    """Run a campaign; its config checked every rule when it was built."""
+    start = time.perf_counter()
+    report = CampaignReport(conjecture=cfg.conjecture, config=cfg)
+    if cfg.conjecture == "umc":
+        _umc_samples(cfg, report)
+    else:
+        _bipartite_samples(cfg, report)
+    report.runtime_seconds = time.perf_counter() - start
+    return report
+
+
+def _umc_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
     """Compare seeded d-regular samples against the disjoint-K_{d,d} profile,
     exact integer against exact integer, for every requested ell."""
-    if cfg.conjecture != "umc":
-        raise ValueError(f"not a umc config: {cfg.conjecture!r}")
     n, d = cfg.n_vertices, cfg.d
-    if n is None or d is None:
-        raise ValueError("umc campaigns need N and d")
-    if d < 1 or n % (2 * d) != 0:
-        raise ValueError(f"2d = {2 * d} must divide N = {n}")
-    start = time.perf_counter()
     extremal = umc_extremal_profile(n, d)
-    ells = cfg.ell_values if cfg.ell_values is not None else list(range(n // 2 + 1))
-    if any(not 0 <= l <= n // 2 for l in ells):
-        raise ValueError(f"ell values must lie in 0..{n // 2}")
-    report = CampaignReport(conjecture="umc", config=cfg)
+    ells = cfg.ell_values if cfg.ell_values is not None else range(n // 2 + 1)
     for idx in range(cfg.samples):
         g = random_regular(n, d, cfg.seed + idx)
         prof = matching_profile(g)
@@ -140,8 +165,6 @@ def run_umc_campaign(cfg: CampaignConfig) -> CampaignReport:
                     worst = slack
         report.worst_slack_bits.append(worst)
         report.instances += 1
-    report.runtime_seconds = time.perf_counter() - start
-    return report
 
 
 def _random_instance(ell: int, m: int, p: float, seed) -> tuple[BipartiteGraph, int]:
@@ -195,32 +218,24 @@ def _sharp_family(ell: int, m: int, limit: int) -> list[BipartiteGraph]:
     return instances
 
 
-def run_genminc_campaign(cfg: CampaignConfig) -> CampaignReport:
+def _bipartite_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
     """Compare exact log2 counts against the generalized per-degree bound
     (and the entropy-argument variant for "wild" configs)."""
-    if cfg.conjecture not in ("genminc", "wild"):
-        raise ValueError(f"not a genminc/wild config: {cfg.conjecture!r}")
     ell, m = cfg.ell, cfg.size_y
-    if ell is None or m is None:
-        raise ValueError("genminc campaigns need ell and M")
-    if not 1 <= ell <= m:
-        raise ValueError(f"need 1 <= ell <= M, got ell={ell}, M={m}")
-    start = time.perf_counter()
-    report = CampaignReport(conjecture=cfg.conjecture, config=cfg)
-
     if cfg.family == "sharp":
         instances = [(inst, saturating_count(inst))
                      for inst in _sharp_family(ell, m, cfg.samples)]
-    elif cfg.family == "random":
+    else:
         instances = [_random_instance(ell, m, cfg.edge_prob, cfg.seed + idx)
                      for idx in range(cfg.samples)]
-    else:
-        raise ValueError(f"unknown family {cfg.family!r}")
 
     for inst, cnt in instances:
         exact = log2_int(cnt)
+        bounds = [("genminc", genminc_bound(inst, ell))]
+        if cfg.conjecture == "wild":
+            bounds.append((f"wild-{cfg.phi_interp}", wild_bound(inst, ell, cfg.phi_interp)))
         worst = None
-        for name, value in _bounds_for(cfg, inst, ell):
+        for name, value in bounds:
             slack = value - exact
             if worst is None or slack < worst:
                 worst = slack
@@ -233,17 +248,3 @@ def run_genminc_campaign(cfg: CampaignConfig) -> CampaignReport:
                     {"index": report.instances, "bound": name, "slackBits": slack})
         report.worst_slack_bits.append(worst)
         report.instances += 1
-    report.runtime_seconds = time.perf_counter() - start
-    return report
-
-
-def _bounds_for(cfg: CampaignConfig, inst: BipartiteGraph, ell: int):
-    yield "genminc", genminc_bound(inst, ell)
-    if cfg.conjecture == "wild":
-        yield f"wild-{cfg.phi_interp}", wild_bound(inst, ell, cfg.phi_interp)
-
-
-def run_campaign(cfg: CampaignConfig) -> CampaignReport:
-    if cfg.conjecture == "umc":
-        return run_umc_campaign(cfg)
-    return run_genminc_campaign(cfg)

@@ -44,7 +44,6 @@ class UnionPattern:
     edges is the canonical form: sorted ((u, v), multiplicity) pairs.
     """
 
-    n: int
     edges: tuple
     non_two_cycle_components: int
     odd_path_components: int
@@ -133,10 +132,10 @@ def _classify(items) -> tuple[bool, int, int, bool]:
     return True, comps, odd_paths, bool(odd_cycle)
 
 
-def _pattern(n: int, items) -> UnionPattern:
+def _pattern(items) -> UnionPattern:
     """A UnionPattern from sorted ((u, v), multiplicity) items."""
     valid, comps, odd_paths, odd_cycle = _classify(items)
-    return UnionPattern(n=n, edges=tuple(items), non_two_cycle_components=comps,
+    return UnionPattern(edges=tuple(items), non_two_cycle_components=comps,
                         odd_path_components=odd_paths, has_odd_cycle=odd_cycle,
                         valid=valid)
 
@@ -169,7 +168,7 @@ def multiset_union_classify(m1, m2, graph: Graph | None = None,
     e2 = _check_matching(m2, nn, graph, "second matching")
     if len(e1) != len(e2):
         raise ValueError(f"matchings differ in size: {len(e1)} vs {len(e2)}")
-    return _pattern(nn, sorted((Counter(e1) + Counter(e2)).items()))
+    return _pattern(sorted((Counter(e1) + Counter(e2)).items()))
 
 
 def project_cover_matching(cover_matching, g: Graph) -> UnionPattern:
@@ -193,49 +192,7 @@ def project_cover_matching(cover_matching, g: Graph) -> UnionPattern:
         xs.add(x)
         ys.add(y)
         mult[e] += 1
-    return _pattern(g.n, sorted(mult.items()))
-
-
-def count_pair_decompositions(pattern: UnionPattern, ell: int) -> int:
-    """Number of ordered pairs of ell-matchings whose multiset union is the
-    pattern, by direct assignment enumeration (the fiber of the union map).
-    An independent count: verify_fibers measures pair fibers by enumerating
-    the pairs themselves."""
-    if not pattern.valid:
-        return 0
-    singles = []
-    doubles = []
-    for (u, v), m in pattern.edges:
-        mask = (1 << u) | (1 << v)
-        if m == 1:
-            singles.append(mask)
-        elif m == 2:
-            doubles.append(mask)
-        else:
-            return 0
-    base = 0
-    for mask in doubles:
-        if base & mask:
-            return 0
-        base |= mask
-    per_side = ell - len(doubles)
-    if per_side < 0 or len(singles) != 2 * per_side:
-        return 0
-    total = 0
-
-    def assign(i: int, used_a: int, used_b: int, cnt_a: int, cnt_b: int):
-        nonlocal total
-        if i == len(singles):
-            total += 1
-            return
-        mask = singles[i]
-        if cnt_a < per_side and not used_a & mask:
-            assign(i + 1, used_a | mask, used_b, cnt_a + 1, cnt_b)
-        if cnt_b < per_side and not used_b & mask:
-            assign(i + 1, used_a, used_b | mask, cnt_a, cnt_b + 1)
-
-    assign(0, base, base, 0, 0)
-    return total
+    return _pattern(sorted(mult.items()))
 
 
 @dataclass
@@ -341,17 +298,22 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
     def offend(check, key, classified, **extra):
         if len(offenders) < 10:
             valid, comps, odd_paths, odd_cycle = classified
-            pattern = UnionPattern(n, tuple(items(key)), comps, odd_paths, odd_cycle, valid)
+            pattern = UnionPattern(tuple(items(key)), comps, odd_paths, odd_cycle, valid)
             offenders.append({"check": check, "pattern": pattern.to_json_dict(), **extra})
 
     ok_a = ok_b = True
     sum_even = 0
     sum_even_claimed = 0
     sum_all = 0
-    for key, hits in fibers.items():
+    for key in {**fibers, **pair_fibers}:  # cover-reached patterns first
         classified = _classify(items(key))
         valid, comps, odd_paths, odd_cycle = classified
-        pairs = pair_fibers.pop(key, 0)
+        hits, pairs = fibers[key], pair_fibers[key]
+        if not hits:
+            ok_a = False
+            offend("a", key, classified, actual=pairs,
+                   detail="no cover matching projects onto this pair union")
+            continue
         if not valid:
             ok_b = False
             offend("b", key, classified, detail="projection is not a path/cycle pattern")
@@ -368,10 +330,6 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
         if measured and pairs != expected_pairs:
             ok_a = False
             offend("a", key, classified, expected=expected_pairs, actual=pairs)
-    for key, pairs in pair_fibers.items():  # unions no cover matching reaches
-        ok_a = False
-        offend("a", key, _classify(items(key)), actual=pairs,
-               detail="no cover matching projects onto this pair union")
     detail_a = "" if measured else (f"pair fibers not measured: {count * count} "
                                     f"ordered pairs exceed the audit cap {cover_cap}")
     ok_a = ok_a and measured

@@ -220,6 +220,11 @@ def profile_from_json(text: str) -> list[int]:
     return [int(c) for c in doc["counts"]]
 
 
+def frac_str(fr: Fraction) -> str:
+    """An exact rational as "a/b", integers included, for JSON reports."""
+    return f"{fr.numerator}/{fr.denominator}"
+
+
 @dataclass
 class MarginalTable:
     """Exact edge marginals of the uniform random X-saturating matching.
@@ -235,13 +240,12 @@ class MarginalTable:
     h_edge: list[float]
 
     def to_json_dict(self) -> dict:
-        frac = lambda f: f"{f.numerator}/{f.denominator}"
         return {
             "schema": 1,
             "ell": self.ell,
-            "p": [[frac(v) for v in row] for row in self.p],
-            "mu": [frac(v) for v in self.mu],
-            "nu": [frac(v) for v in self.nu],
+            "p": [[frac_str(v) for v in row] for row in self.p],
+            "mu": [frac_str(v) for v in self.mu],
+            "nu": [frac_str(v) for v in self.nu],
             "hEdgeBits": list(self.h_edge),
         }
 

@@ -11,7 +11,6 @@ floating point. Every inequality gets a uniform 1e-9 slack.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -20,13 +19,14 @@ from fractions import Fraction
 from itertools import permutations
 
 from .bounds import LOG2E, binary_entropy, log2_int, log_ratio, thm_bipartite_bound
-from .counting import entropy_bits, enumerate_matchings, saturating_count
+from .counting import entropy_bits, enumerate_matchings, frac_str, saturating_count
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
 TOL = 1e-9
 MAX_ELL = 4
 MAX_M = 5
+CATALOG_SEED = 20240911  # the seed the recorded prooflab reports were drawn from
 
 
 def _f(t: float) -> float:
@@ -43,10 +43,6 @@ def _g(t: float, d: int) -> float:
     if t == 1.0:
         return LOG2E - math.log2(d)
     return t * _f(t) - t * math.log2(d * t)
-
-
-def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
 
 
 class Enumeration:
@@ -180,8 +176,8 @@ class DistributionAudit:
         return {
             "schema": 1,
             "x": self.x,
-            "qTable": {str(k): _frac_str(v) for k, v in sorted(self.q_table.items())},
-            "rTable": {f"{k},{y}": _frac_str(v)
+            "qTable": {str(k): frac_str(v) for k, v in sorted(self.q_table.items())},
+            "rTable": {f"{k},{y}": frac_str(v)
                        for (k, y), v in sorted(self.r_table.items())},
             "checks": dict(self.checks),
             "passed": self.passed,
@@ -253,9 +249,6 @@ class ChainAudit:
             "chainRuleGap": self.chain_rule_gap,
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _table_term(q_cond_y: dict, r_full: dict, y: int) -> float:
@@ -377,10 +370,11 @@ def middle_step_audit(enum: Enumeration) -> dict:
 # audit catalog
 # ---------------------------------------------------------------------------
 
-def tiny_bipartite_catalog(seed: int = 20240911) -> list[tuple[BipartiteGraph, int]]:
+def tiny_bipartite_catalog() -> list[tuple[BipartiteGraph, int]]:
     """Instances for the audit suite: every connectivity pattern with
     |X| = 2 and M <= 4 (no isolated vertices, at least one X-saturating
-    matching), plus seeded random instances up to the enumeration caps."""
+    matching), plus random instances up to the enumeration caps, drawn from
+    CATALOG_SEED."""
     instances = []
     for m in (2, 3, 4):
         pairs = [(x, y) for x in range(2) for y in range(m)]
@@ -391,7 +385,7 @@ def tiny_bipartite_catalog(seed: int = 20240911) -> list[tuple[BipartiteGraph, i
                 continue
             if saturating_count(cand) > 0:
                 instances.append((cand, 2))
-    rng = random.Random(seed)
+    rng = random.Random(CATALOG_SEED)
     for ell, m, wanted in ((3, 4, 8), (3, 5, 8), (4, 5, 8)):
         got = 0
         while got < wanted:

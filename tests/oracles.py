@@ -10,6 +10,10 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from matchbound import UnionPattern
 
 
 def cycle_profile(n: int) -> list[int]:
@@ -90,6 +94,48 @@ def classify_multigraph(items) -> tuple[bool, int, int, bool]:
             comps += 1
             odd_cycle = odd_cycle or len(comp) % 2 == 1
     return True, comps, odd_paths, odd_cycle
+
+
+def count_pair_decompositions(pattern: UnionPattern, ell: int) -> int:
+    """Number of ordered pairs of ell-matchings whose multiset union is the
+    pattern, by direct assignment enumeration (the fiber of the union map).
+    An independent count: verify_fibers measures pair fibers by enumerating
+    the pairs themselves."""
+    if not pattern.valid:
+        return 0
+    singles = []
+    doubles = []
+    for (u, v), m in pattern.edges:
+        mask = (1 << u) | (1 << v)
+        if m == 1:
+            singles.append(mask)
+        elif m == 2:
+            doubles.append(mask)
+        else:
+            return 0
+    base = 0
+    for mask in doubles:
+        if base & mask:
+            return 0
+        base |= mask
+    per_side = ell - len(doubles)
+    if per_side < 0 or len(singles) != 2 * per_side:
+        return 0
+    total = 0
+
+    def assign(i: int, used_a: int, used_b: int, cnt_a: int, cnt_b: int):
+        nonlocal total
+        if i == len(singles):
+            total += 1
+            return
+        mask = singles[i]
+        if cnt_a < per_side and not used_a & mask:
+            assign(i + 1, used_a | mask, used_b, cnt_a + 1, cnt_b)
+        if cnt_b < per_side and not used_b & mask:
+            assign(i + 1, used_a, used_b | mask, cnt_a, cnt_b + 1)
+
+    assign(0, base, base, 0, 0)
+    return total
 
 
 def order_walk(edges, ell: int, m: int, x: int) -> tuple:

@@ -12,8 +12,8 @@ from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, Enumeration
                         disjoint_union, inequality_chain_audit, kdd_profile,
                         log2_int, matching_marginals, matching_profile,
                         matching_profile_bruteforce, random_bipartite, random_graph,
-                        random_regular, rk_formula_audit, run_genminc_campaign,
-                        run_umc_campaign, thm_dregular_bound, thm_general_bound,
+                        random_regular, rk_formula_audit, run_campaign,
+                        thm_dregular_bound, thm_general_bound,
                         tiny_bipartite_catalog, umc_extremal_main_term,
                         verify_fibers, zx_distribution_audit)
 from oracles import cycle_profile, kdd_count
@@ -234,7 +234,7 @@ def test_criterion_8_campaigns():
     for n, d in ((8, 2), (12, 2), (12, 3)):
         cfg = CampaignConfig(conjecture="umc", samples=200, seed=7,
                              n_vertices=n, d=d)
-        rep = run_umc_campaign(cfg)
+        rep = run_campaign(cfg)
         if rep.violations:
             failures.append(("umc violations need manual confirmation", n, d,
                              [v.to_json_dict() for v in rep.violations[:3]]))
@@ -243,7 +243,7 @@ def test_criterion_8_campaigns():
     for ell, m in ((2, 4), (3, 6), (3, 9), (4, 8)):
         cfg = CampaignConfig(conjecture="genminc", samples=20, seed=0,
                              ell=ell, size_y=m, family="sharp")
-        rep = run_genminc_campaign(cfg)
+        rep = run_campaign(cfg)
         if rep.instances == 0:
             failures.append(("empty sharp family", ell, m))
         for idx, slack in enumerate(rep.worst_slack_bits):
@@ -255,12 +255,12 @@ def test_criterion_8_campaigns():
 def test_criterion_9_determinism():
     failures = []
     umc = CampaignConfig(conjecture="umc", samples=60, seed=13, n_vertices=12, d=3)
-    if run_umc_campaign(umc).to_json(include_runtime=False) != \
-            run_umc_campaign(umc).to_json(include_runtime=False):
+    if run_campaign(umc).to_json(include_runtime=False) != \
+            run_campaign(umc).to_json(include_runtime=False):
         failures.append("umc report bytes differ")
     gen = CampaignConfig(conjecture="wild", samples=30, seed=21, ell=3, size_y=5,
                          edge_prob=0.6)
-    if run_genminc_campaign(gen).to_json(include_runtime=False) != \
-            run_genminc_campaign(gen).to_json(include_runtime=False):
+    if run_campaign(gen).to_json(include_runtime=False) != \
+            run_campaign(gen).to_json(include_runtime=False):
         failures.append("genminc report bytes differ")
     _report("criterion 9: campaign determinism", failures)

@@ -325,6 +325,11 @@ class TestBoundReport:
         assert not rep.entry("bregman").applicable
         assert not rep.entry("bipartite").applicable
 
+    @pytest.mark.parametrize("ell", [4, -1])
+    def test_ell_out_of_range(self, ell):
+        with pytest.raises(ValueError, match=r"ell must lie in 0\.\.3"):
+            bound_report(cycle_graph(6), [ell])
+
     def test_isolated_vertices_marked_inapplicable(self):
         g = Graph(4, [(0, 1)])
         rep = bound_report(g, [1])[0]

@@ -5,8 +5,7 @@ import pytest
 
 from matchbound import (CampaignConfig, bregman_bound, genminc_bound,
                         log2_int, matching_profile, parse_bipartite, parse_graph6,
-                        run_campaign, run_genminc_campaign, run_umc_campaign,
-                        umc_extremal_profile, wild_bound)
+                        run_campaign, umc_extremal_profile, wild_bound)
 from matchbound.campaigns import _sharp_family
 from oracles import cycle_profile
 
@@ -14,7 +13,7 @@ from oracles import cycle_profile
 class TestUmcCampaign:
     def test_degree_one_is_extremal(self):
         cfg = CampaignConfig(conjecture="umc", samples=20, seed=3, n_vertices=4, d=1)
-        rep = run_umc_campaign(cfg)
+        rep = run_campaign(cfg)
         assert rep.instances == 20
         assert not rep.violations
         assert all(s == 0.0 for s in rep.worst_slack_bits)
@@ -28,32 +27,63 @@ class TestUmcCampaign:
 
     def test_two_regular_batch(self):
         cfg = CampaignConfig(conjecture="umc", samples=50, seed=11, n_vertices=8, d=2)
-        rep = run_umc_campaign(cfg)
+        rep = run_campaign(cfg)
         assert not rep.violations
         assert min(rep.worst_slack_bits) >= 0.0
 
     def test_determinism(self):
         cfg = CampaignConfig(conjecture="umc", samples=30, seed=7, n_vertices=12, d=3)
-        a = run_umc_campaign(cfg).to_json(include_runtime=False)
-        b = run_umc_campaign(cfg).to_json(include_runtime=False)
+        a = run_campaign(cfg).to_json(include_runtime=False)
+        b = run_campaign(cfg).to_json(include_runtime=False)
         assert a == b
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            run_umc_campaign(CampaignConfig(conjecture="umc", samples=1, seed=0,
-                                            n_vertices=10, d=3))
+            run_campaign(CampaignConfig(conjecture="umc", samples=1, seed=0,
+                                        n_vertices=10, d=3))
 
     def test_ell_subset(self):
         cfg = CampaignConfig(conjecture="umc", samples=5, seed=1, n_vertices=8, d=2,
                              ell_values=[2, 3])
-        rep = run_umc_campaign(cfg)
+        rep = run_campaign(cfg)
         assert rep.instances == 5 and not rep.violations
 
     def test_ell_out_of_range(self):
-        cfg = CampaignConfig(conjecture="umc", samples=1, seed=1, n_vertices=8, d=2,
-                             ell_values=[5])
         with pytest.raises(ValueError, match="0..4"):
-            run_umc_campaign(cfg)
+            CampaignConfig(conjecture="umc", samples=1, seed=1, n_vertices=8, d=2,
+                           ell_values=[5])
+
+
+class TestConfigRules:
+    """Each campaign rule is checked when the config is built, before any
+    sample is drawn."""
+
+    UMC = dict(conjecture="umc", samples=1, seed=0, n_vertices=8, d=2)
+    GEN = dict(conjecture="genminc", samples=1, seed=0, ell=2, size_y=3)
+
+    @pytest.mark.parametrize("base, change, message", [
+        (UMC, {"conjecture": "minc"}, "unknown conjecture"),
+        (UMC, {"samples": -1}, "samples must be nonnegative"),
+        (UMC, {"d": None}, "umc campaigns need N and d"),
+        (UMC, {"n_vertices": 10}, "2d = 4 must divide N = 10"),
+        (UMC, {"d": 0}, "2d = 0 must divide N = 8"),
+        (UMC, {"ell_values": [0, 5]}, r"ell values must lie in 0\.\.4"),
+        (GEN, {"size_y": None}, "genminc campaigns need ell and M"),
+        (GEN, {"ell": 0}, "need 1 <= ell <= M"),
+        (GEN, {"ell": 4}, "need 1 <= ell <= M"),
+        (GEN, {"family": "dense"}, "unknown family"),
+        (GEN, {"phi_interp": "exact"}, "unknown interpretation"),
+        (GEN, {"edge_prob": 1.5}, r"edge probability must lie in \[0, 1\]"),
+        (GEN, {"edge_prob": -0.5}, r"edge probability must lie in \[0, 1\]"),
+        (GEN, {"edge_prob": math.nan}, r"edge probability must lie in \[0, 1\]"),
+    ])
+    def test_rule_raises_at_construction(self, base, change, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**{**base, **change})
+
+    @pytest.mark.parametrize("edge_prob", [0.0, 1.0])
+    def test_edge_prob_endpoints_allowed(self, edge_prob):
+        CampaignConfig(**{**self.GEN, "edge_prob": edge_prob})
 
 
 class TestGenmincCampaign:
@@ -67,7 +97,7 @@ class TestGenmincCampaign:
     def test_sharp_family_is_exact(self):
         cfg = CampaignConfig(conjecture="genminc", samples=10, seed=0, ell=3,
                              size_y=6, family="sharp")
-        rep = run_genminc_campaign(cfg)
+        rep = run_campaign(cfg)
         assert rep.instances >= 3
         assert not rep.violations
         assert all(abs(s) < 1e-9 for s in rep.worst_slack_bits)
@@ -82,8 +112,8 @@ class TestGenmincCampaign:
     def test_random_batch_deterministic(self):
         cfg = CampaignConfig(conjecture="genminc", samples=40, seed=1, ell=3,
                              size_y=5, edge_prob=0.6)
-        rep1 = run_genminc_campaign(cfg)
-        rep2 = run_genminc_campaign(cfg)
+        rep1 = run_campaign(cfg)
+        rep2 = run_campaign(cfg)
         assert rep1.to_json(include_runtime=False) == rep2.to_json(include_runtime=False)
         assert rep1.instances == 40
         assert not rep1.violations
@@ -93,7 +123,7 @@ class TestGenmincCampaign:
         # below the exact count and must surface as a violation finding
         cfg = CampaignConfig(conjecture="wild", samples=1, seed=0, ell=1, size_y=2,
                              family="sharp", phi_interp="literal")
-        rep = run_genminc_campaign(cfg)
+        rep = run_campaign(cfg)
         assert rep.violations
         violation = rep.violations[0]
         assert violation.bound == "wild-literal"
@@ -104,7 +134,7 @@ class TestGenmincCampaign:
     def test_wild_gamma_reading_holds_there(self):
         cfg = CampaignConfig(conjecture="wild", samples=1, seed=0, ell=1, size_y=2,
                              family="sharp", phi_interp="gamma")
-        rep = run_genminc_campaign(cfg)
+        rep = run_campaign(cfg)
         assert not rep.violations
 
 
@@ -121,7 +151,7 @@ class TestReportContract:
     def test_violations_self_verify(self):
         cfg = CampaignConfig(conjecture="wild", samples=1, seed=0, ell=1, size_y=2,
                              family="sharp", phi_interp="literal")
-        doc = json.loads(run_genminc_campaign(cfg).to_json())
+        doc = json.loads(run_campaign(cfg).to_json())
         for v in doc["violations"]:
             reparsed = parse_bipartite(v["graph"])
             exact = log2_int(matching_profile(reparsed.to_graph())[v["ell"]])
@@ -133,7 +163,7 @@ class TestReportContract:
     def test_umc_samples_reproducible_in_isolation(self):
         from matchbound import emit_graph6, random_regular
         cfg = CampaignConfig(conjecture="umc", samples=4, seed=9, n_vertices=12, d=3)
-        run_umc_campaign(cfg)
+        run_campaign(cfg)
         for idx in range(4):
             g = random_regular(12, 3, 9 + idx)
             assert parse_graph6(emit_graph6(g)) == g

@@ -243,6 +243,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad --ell value" in err and "invalid literal" not in err
 
+    @pytest.mark.parametrize("edge_prob", ["1.5", "-0.5", "nan"])
+    def test_campaign_edge_prob_outside_unit_interval(self, edge_prob, capsys):
+        assert main(["campaign", "--conjecture", "genminc", "--ell", "3", "--M", "4",
+                     f"--edge-prob={edge_prob}", "--samples", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: edge probability must lie in [0, 1], got {edge_prob}\n"
+
+    def test_bounds_json_and_csv_exclusive(self, c6_file, capsys):
+        assert main(["bounds", "--graph", c6_file, "--json", "--csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

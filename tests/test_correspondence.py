@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (CapExceeded, Graph, complete_bipartite, correspondence,
-                        count_pair_decompositions, cycle_graph, disjoint_union,
-                        enumerate_matchings, multiset_union_classify, parse_graph6,
-                        project_cover_matching, random_graph, verify_fibers)
-from oracles import classify_multigraph
+                        cycle_graph, disjoint_union, enumerate_matchings,
+                        multiset_union_classify, parse_graph6, project_cover_matching,
+                        random_graph, verify_fibers)
+from oracles import classify_multigraph, count_pair_decompositions
 
 C3_PLUS_K2 = disjoint_union([cycle_graph(3), Graph(2, [(0, 1)])])
 TWO_TRIANGLES = disjoint_union([cycle_graph(3), cycle_graph(3)])
