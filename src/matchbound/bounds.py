@@ -140,14 +140,6 @@ def thm_general_bound(g: Graph, ell: int) -> float:
 # generalized per-vertex terms
 # ---------------------------------------------------------------------------
 
-def _is_integral(t) -> bool:
-    if isinstance(t, int):
-        return True
-    if isinstance(t, Fraction):
-        return t.denominator == 1
-    return float(t).is_integer()
-
-
 def _psi_loggamma(d: int, t: float) -> float:
     """The log-gamma form of psi; exposed separately so tests can pin the
     two evaluation routes against each other."""
@@ -164,16 +156,15 @@ def psi(d: int, t) -> float:
         raise ValueError("d must be a positive integer")
     if not 0 < t <= d:
         raise ValueError(f"need 0 < t <= d, got t={t}, d={d}")
-    if _is_integral(t):
+    if Fraction(t).denominator == 1:
         k = int(t)
         return log2_int(math.perm(d, k)) / k
     return _psi_loggamma(int(d), float(t))
 
 
-def genminc_bound(b: BipartiteGraph, ell: int) -> float:
+def genminc_bound(b: BipartiteGraph) -> float:
     """Conjectured bound sum_x psi(d_x, ell*d_x/M) for |X| = ell <= M = |Y|."""
-    if b.size_x != ell:
-        raise ValueError(f"need size_x == ell, got {b.size_x} vs {ell}")
+    ell = b.size_x
     if b.size_y < ell:
         raise ValueError(f"need ell <= size_y, got {ell} > {b.size_y}")
     degs = b.degrees_x
@@ -205,16 +196,12 @@ def phi_wild(r: float, t: float, interp: str = "gamma") -> float:
     return (lead - tail) / t
 
 
-def wild_bound(b: BipartiteGraph, ell: int, interp: str = "gamma") -> float:
+def wild_bound(b: BipartiteGraph, interp: str = "gamma") -> float:
     """Conjectured bound sum_x phi_wild(H(f(x)), (ell/M)*2^H(f(x))) under the
-    uniform ell-matching distribution."""
-    table = matching_marginals(b, ell)
-    m = b.size_y
-    total = 0.0
-    for x in range(b.size_x):
-        h = table.h_edge[x]
-        total += phi_wild(h, (ell / m) * 2.0 ** h, interp)
-    return total
+    uniform ell-matching distribution, ell = |X|."""
+    ratio = b.size_x / b.size_y
+    return sum((phi_wild(h, ratio * 2.0 ** h, interp)
+                for h in matching_marginals(b).h_edge), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +334,8 @@ def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
         lambda: bregman_bound(bip.degrees_x))
     add("bipartite", dx_ok and 1 <= ell <= min(bip.size_x, bip.size_y),
         lambda: thm_bipartite_bound(bip, ell))
-    add("genminc", gen_ok, lambda: genminc_bound(gen, ell), conjectural=True)
+    add("genminc", gen_ok, lambda: genminc_bound(gen), conjectural=True)
     add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
-        lambda: wild_bound(gen, ell, phi_interp), conjectural=True)
+        lambda: wild_bound(gen, phi_interp), conjectural=True)
 
     return report

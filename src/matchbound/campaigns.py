@@ -7,7 +7,6 @@ Per-sample seeds are seed + index, so samples are reproducible in isolation.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,10 @@ class CampaignConfig:
             n, d = self.n_vertices, self.d
             if n is None or d is None:
                 raise ValueError("umc campaigns need N and d")
+            if self.ell is not None or self.size_y is not None:
+                raise ValueError("umc campaigns take no single ell or M")
+            if n < 1:
+                raise ValueError(f"N must be positive, got {n}")
             if d < 1 or n % (2 * d) != 0:
                 raise ValueError(f"2d = {2 * d} must divide N = {n}")
             if any(not 0 <= l <= n // 2 for l in self.ell_values or ()):
@@ -54,6 +57,9 @@ class CampaignConfig:
             ell, m = self.ell, self.size_y
             if ell is None or m is None:
                 raise ValueError("genminc campaigns need ell and M")
+            if (self.n_vertices, self.d, self.ell_values) != (None, None, None):
+                raise ValueError(f"{self.conjecture} campaigns take no N, d or "
+                                 "list of ell values")
             if not 1 <= ell <= m:
                 raise ValueError(f"need 1 <= ell <= M, got ell={ell}, M={m}")
         if self.family not in ("random", "sharp"):
@@ -103,7 +109,6 @@ class Violation:
 
 @dataclass
 class CampaignReport:
-    conjecture: str
     config: CampaignConfig
     instances: int = 0
     worst_slack_bits: list = field(default_factory=list)
@@ -111,28 +116,23 @@ class CampaignReport:
     sharp_candidates: list = field(default_factory=list)
     runtime_seconds: float = 0.0
 
-    def to_json_dict(self, include_runtime: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema": 1,
-            "conjecture": self.conjecture,
+            "conjecture": self.config.conjecture,
             "config": self.config.to_json_dict(),
             "instances": self.instances,
             "worstSlackBits": self.worst_slack_bits,
             "violations": [v.to_json_dict() for v in self.violations],
             "sharpCandidates": self.sharp_candidates,
+            "runtimeSeconds": self.runtime_seconds,
         }
-        if include_runtime:
-            doc["runtimeSeconds"] = self.runtime_seconds
-        return doc
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_runtime), indent=2)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run a campaign; its config checked every rule when it was built."""
     start = time.perf_counter()
-    report = CampaignReport(conjecture=cfg.conjecture, config=cfg)
+    report = CampaignReport(config=cfg)
     if cfg.conjecture == "umc":
         _umc_samples(cfg, report)
     else:
@@ -150,7 +150,6 @@ def _umc_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
     for idx in range(cfg.samples):
         g = random_regular(n, d, cfg.seed + idx)
         prof = matching_profile(g)
-        worst = None
         for ell in ells:
             cnt = prof[ell]
             ext = extremal[ell]
@@ -159,11 +158,9 @@ def _umc_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
                     graph=emit_graph6(g), ell=ell, bound="umc-extremal",
                     lhs_bits=log2_int(cnt), rhs_bits=log2_int(ext),
                     lhs_count=str(cnt), rhs_count=str(ext)))
-            if cnt > 0:
-                slack = log2_int(ext) - log2_int(cnt)
-                if worst is None or slack < worst:
-                    worst = slack
-        report.worst_slack_bits.append(worst)
+        report.worst_slack_bits.append(min(
+            (log2_int(extremal[ell]) - log2_int(prof[ell]) for ell in ells if prof[ell]),
+            default=None))
         report.instances += 1
 
 
@@ -231,14 +228,11 @@ def _bipartite_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
 
     for inst, cnt in instances:
         exact = log2_int(cnt)
-        bounds = [("genminc", genminc_bound(inst, ell))]
+        bounds = [("genminc", genminc_bound(inst))]
         if cfg.conjecture == "wild":
-            bounds.append((f"wild-{cfg.phi_interp}", wild_bound(inst, ell, cfg.phi_interp)))
-        worst = None
+            bounds.append((f"wild-{cfg.phi_interp}", wild_bound(inst, cfg.phi_interp)))
         for name, value in bounds:
             slack = value - exact
-            if worst is None or slack < worst:
-                worst = slack
             if slack < -SLACK_EPS:
                 report.violations.append(Violation(
                     graph=emit_bipartite(inst), ell=ell, bound=name,
@@ -246,5 +240,5 @@ def _bipartite_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
             elif slack < SHARP_THRESHOLD:
                 report.sharp_candidates.append(
                     {"index": report.instances, "bound": name, "slackBits": slack})
-        report.worst_slack_bits.append(worst)
+        report.worst_slack_bits.append(min(value - exact for _name, value in bounds))
         report.instances += 1

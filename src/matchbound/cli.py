@@ -15,8 +15,8 @@ from .bounds import bound_report, reports_to_csv
 from .campaigns import CampaignConfig, run_campaign
 from .correspondence import verify_fibers
 from .counting import matching_marginals, matching_profile, profile_to_json
-from .errors import CapExceeded, ParseError
-from .graphs import (BipartiteGraph, bipartite_double_cover, emit_bipartite,
+from .errors import CapExceeded
+from .graphs import (BipartiteGraph, Graph, bipartite_double_cover, emit_bipartite,
                      parse_bipartite, parse_edge_list, parse_graph6)
 from .prooflab import (Enumeration, inequality_chain_audit, rk_formula_audit,
                        zx_distribution_audit)
@@ -36,7 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_graph(path: str, fmt: str | None):
+def _read_graph(args, want):
+    """The --graph input in --format (default: from the extension), and its
+    name. want=Graph flattens a bipartite input, want=None keeps the input as
+    parsed, and want=BipartiteGraph refuses any input but a bipartite one
+    whose |X| equals --ell."""
+    path, fmt = args.graph, args.format
     if path == "-":
         text = sys.stdin.read()
         name = "stdin"
@@ -52,12 +57,21 @@ def _read_graph(path: str, fmt: str | None):
         else:
             fmt = "edges"
     if fmt == "g6":
-        return parse_graph6(text), name
-    if fmt == "bipartite":
-        return parse_bipartite(text), name
-    if fmt == "edges":
-        return parse_edge_list(text), name
-    raise _UsageError(f"unknown format {fmt!r}")
+        g = parse_graph6(text)
+    elif fmt == "bipartite":
+        g = parse_bipartite(text)
+    else:
+        g = parse_edge_list(text)
+    if want is Graph and isinstance(g, BipartiteGraph):
+        g = g.to_graph()
+    elif want is BipartiteGraph:
+        if not isinstance(g, BipartiteGraph):
+            verb = "need" if args.command == "marginals" else "needs"
+            raise _UsageError(f"{args.command} {verb} a bipartite input "
+                              "(--format bipartite)")
+        if g.size_x != args.ell:
+            raise _UsageError(f"--ell must equal |X| = {g.size_x}, got {args.ell}")
+    return g, name
 
 
 def _write(text: str, out: str | None) -> None:
@@ -66,6 +80,10 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _ell_list(spec: str, max_ell: int | None = None) -> list[int]:
@@ -141,9 +159,7 @@ def _parser() -> _Parser:
 
 
 def _cmd_count(args) -> int:
-    g, _name = _read_graph(args.graph, args.format)
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
+    g, _name = _read_graph(args, Graph)
     prof = matching_profile(g)
     if args.json:
         _write(profile_to_json(prof) + "\n", args.out)
@@ -154,56 +170,45 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    g, name = _read_graph(args.graph, args.format)
+    g, name = _read_graph(args, None)
     n = g.size_x + g.size_y if isinstance(g, BipartiteGraph) else g.n
     ells = _ell_list(args.ell, n // 2)
     reports = bound_report(g, ells, graph_id=name, phi_interp=args.phi_interp)
     if args.json:
-        doc = {"schema": 1, "reports": [r.to_json_dict() for r in reports]}
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
+        _write_json({"schema": 1, "reports": [r.to_json_dict() for r in reports]},
+                    args.out)
     else:
         _write(reports_to_csv(reports), args.out)
     return EXIT_OK
 
 
 def _cmd_marginals(args) -> int:
-    g, _name = _read_graph(args.graph, args.format)
-    if not isinstance(g, BipartiteGraph):
-        raise _UsageError("marginals need a bipartite input (--format bipartite)")
-    table = matching_marginals(g, args.ell)
-    _write(json.dumps(table.to_json_dict(), indent=2) + "\n", args.out)
+    g, _name = _read_graph(args, BipartiteGraph)
+    _write_json(matching_marginals(g).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_double_cover(args) -> int:
-    g, _name = _read_graph(args.graph, args.format)
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
+    g, _name = _read_graph(args, Graph)
     _write(emit_bipartite(bipartite_double_cover(g)), args.out)
     return EXIT_OK
 
 
 def _cmd_fibers(args) -> int:
-    g, name = _read_graph(args.graph, args.format)
-    if isinstance(g, BipartiteGraph):
-        g = g.to_graph()
-    report = verify_fibers(g, args.ell, graph_id=name)
-    _write(report.to_json() + "\n", args.out)
+    g, name = _read_graph(args, Graph)
+    _write_json(verify_fibers(g, args.ell, graph_id=name).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_prooflab(args) -> int:
-    g, _name = _read_graph(args.graph, args.format)
-    if not isinstance(g, BipartiteGraph):
-        raise _UsageError("prooflab needs a bipartite input (--format bipartite)")
-    enum = Enumeration(g, args.ell)
+    g, _name = _read_graph(args, BipartiteGraph)
+    enum = Enumeration(g)
     chain = inequality_chain_audit(enum)
     zx = [zx_distribution_audit(enum, x).to_json_dict() for x in range(g.size_x)]
     rk = [rk_formula_audit(enum, x, y).to_json_dict()
           for x, y in g.edges if enum.p[x][y]]
-    doc = {"schema": 1, "chain": chain.to_json_dict(),
-           "sizeDistributions": zx, "availabilityFormulas": rk}
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_json({"schema": 1, "chain": chain.to_json_dict(),
+                 "sizeDistributions": zx, "availabilityFormulas": rk}, args.out)
     return EXIT_OK
 
 
@@ -225,7 +230,7 @@ def _cmd_campaign(args) -> int:
         edge_prob=args.edge_prob, family=args.family, ell_values=ell_values,
         phi_interp=args.phi_interp)
     report = run_campaign(cfg)
-    _write(report.to_json() + "\n", args.out)
+    _write_json(report.to_json_dict(), args.out)
     if report.violations and args.strict:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -245,17 +250,10 @@ _COMMANDS = {
 def cli_dispatch(argv) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -17,7 +17,6 @@ no path components occur at all).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,8 +25,8 @@ from .counting import enumerate_matchings, matching_profile
 from .errors import CapExceeded
 from .graphs import Graph, bipartite_double_cover
 
-DEFAULT_COUNT_CAP = 10_000
-DEFAULT_COVER_CAP = 100_000
+COUNT_CAP = 10_000
+COVER_CAP = 100_000
 
 
 def _pair_fiber(comps: int, odd_paths: int, has_odd_cycle: bool) -> int:
@@ -228,13 +227,8 @@ class AuditReport:
             "offenders": self.offenders[:10],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
-
-def verify_fibers(g: Graph, ell: int, graph_id: str = "",
-                  count_cap: int = DEFAULT_COUNT_CAP,
-                  cover_cap: int = DEFAULT_COVER_CAP) -> AuditReport:
+def verify_fibers(g: Graph, ell: int, graph_id: str = "") -> AuditReport:
     """Exact fiber-size verification, by full enumeration.
 
     A pattern is keyed by one integer, with a base-4 digit per edge of g
@@ -242,7 +236,7 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
     and both of its cover edges are labelled 1 << 2*i, and a matching's key
     is the sum of its labels. Enumerates all 2*ell-matchings of the double
     cover, and all ordered pairs of ell-matchings of g (count^2 of them, at
-    most the cover count by (e), and never more than cover_cap), and checks:
+    most the cover count by (e), and never more than COVER_CAP), and checks:
       (a) every odd-cycle-free pattern is the multiset union of exactly
           pair_fiber_size() ordered matching pairs, every other pattern of
           none, and every pair union is some cover matching's projection,
@@ -259,15 +253,16 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
     if not 0 <= ell <= g.n // 2:
         raise ValueError(f"ell must lie in 0..N/2 = 0..{g.n // 2}, got {ell}")
     count = matching_profile(g)[ell]
-    if count > count_cap:
-        raise CapExceeded(f"{count} matchings exceed the audit cap {count_cap}; raise "
-                          "it with verify_fibers(count_cap=...), which no CLI flag sets")
+    if count > COUNT_CAP:
+        raise CapExceeded(
+            f"{count} matchings exceed the audit cap {COUNT_CAP}; the cap is the "
+            "fixed constant correspondence.COUNT_CAP, with no knob")
     gk = bipartite_double_cover(g).to_graph()
     cover_count = matching_profile(gk)[2 * ell]
-    if cover_count > cover_cap:
+    if cover_count > COVER_CAP:
         raise CapExceeded(
-            f"{cover_count} cover matchings exceed the audit cap {cover_cap}; raise "
-            "it with verify_fibers(cover_cap=...), which no CLI flag sets")
+            f"{cover_count} cover matchings exceed the audit cap {COVER_CAP}; the cap "
+            "is the fixed constant correspondence.COVER_CAP, with no knob")
 
     n = g.n
     labels = [1 << 2 * i for i in range(g.num_edges)]
@@ -276,7 +271,7 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
     cover_labels = [labels[index[(u, v - n) if u < v - n else (v - n, u)]]
                     for u, v in gk.edges]
     fibers = Counter(map(sum, enumerate_matchings(gk, 2 * ell, cover_labels)))
-    measured = count * count <= cover_cap  # by (e), unless the audit fails
+    measured = count * count <= COVER_CAP  # by (e), unless the audit fails
     keys = list(map(sum, enumerate_matchings(g, ell, labels))) if measured else []
     pair_fibers = Counter(a + b for a in keys for b in keys)
     digits = {}  # a key's lowest set bit -> its (edge, multiplicity) item
@@ -331,7 +326,7 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "",
             ok_a = False
             offend("a", key, classified, expected=expected_pairs, actual=pairs)
     detail_a = "" if measured else (f"pair fibers not measured: {count * count} "
-                                    f"ordered pairs exceed the audit cap {cover_cap}")
+                                    f"ordered pairs exceed the audit cap {COVER_CAP}")
     ok_a = ok_a and measured
 
     report.totals = {

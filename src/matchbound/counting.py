@@ -304,16 +304,15 @@ def saturating_count(b: BipartiteGraph) -> int:
     return table.get(full, 0)
 
 
-def matching_marginals(b: BipartiteGraph, ell: int) -> MarginalTable:
-    """Exact rational marginals for the uniform ell-matching of b.
+def matching_marginals(b: BipartiteGraph) -> MarginalTable:
+    """Exact rational marginals for the uniform ell-matching of b, ell = |X|.
 
-    Requires size_x == ell <= size_y, so every ell-matching saturates X. With
+    Requires ell <= size_y, so every ell-matching saturates X. With
     forward tables F_j over columns before y_j and backward tables G_{j+1}
     over columns after it, the matchings using edge (x, y_j) number
     sum over A of F_j(A) * G_{j+1}(X - A - {x}); p[x][y_j] is that over the total.
     """
-    if b.size_x != ell:
-        raise ValueError(f"marginals need size_x == ell (got {b.size_x} vs {ell})")
+    ell = b.size_x
     if ell > b.size_y:
         raise ValueError(f"need ell <= size_y (got {ell} > {b.size_y})")
     full = (1 << ell) - 1

@@ -48,8 +48,8 @@ def _g(t: float, d: int) -> float:
 class Enumeration:
     """All X-saturating matchings of b as partner tuples, plus the exact
     joint tables over a uniform matching and an independent uniform order in
-    which the X-vertices are reached. Built once and shared by every audit
-    of (b, ell).
+    which the X-vertices are reached, with ell = |X|. Built once and shared
+    by every audit of b.
 
     Every table for x depends on the order only through the set of
     X-vertices reached before x, and a uniform order puts a given k-set
@@ -57,9 +57,8 @@ class Enumeration:
     sets, not its orders, adds integer multiplicities, and divides by
     count * ell! once per table entry."""
 
-    def __init__(self, b: BipartiteGraph, ell: int):
-        if b.size_x != ell:
-            raise ValueError(f"need size_x == ell, got {b.size_x} vs {ell}")
+    def __init__(self, b: BipartiteGraph):
+        ell = b.size_x
         if ell > MAX_ELL or b.size_y > MAX_M:
             raise CapExceeded(
                 f"enumeration audits are capped at ell <= {MAX_ELL}, M <= {MAX_M}, "

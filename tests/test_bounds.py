@@ -228,21 +228,23 @@ class TestGenmincBound:
     def test_k24_tight(self):
         count = matching_profile_bruteforce(complete_bipartite(2, 4).to_graph())[2]
         assert count == 12
-        assert abs(genminc_bound(complete_bipartite(2, 4), 2) - math.log2(12)) < 1e-12
+        assert abs(genminc_bound(complete_bipartite(2, 4)) - math.log2(12)) < 1e-12
 
     def test_square_case_is_bregman(self):
         for b in (complete_bipartite(3, 3),
                   BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])):
-            assert abs(genminc_bound(b, 3) - bregman_bound(b.degrees_x)) < 1e-12
+            assert abs(genminc_bound(b) - bregman_bound(b.degrees_x)) < 1e-12
 
     def test_marginal_example(self):
-        val = genminc_bound(MARGINAL_EXAMPLE, 2)
+        val = genminc_bound(MARGINAL_EXAMPLE)
         assert abs(val - 2 * psi(2, Fraction(4, 3))) < 1e-12
         assert val >= math.log2(3)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            genminc_bound(complete_bipartite(2, 4), 1)
+        with pytest.raises(ValueError, match="need ell <= size_y"):
+            genminc_bound(complete_bipartite(4, 2))
+        with pytest.raises(ValueError, match="isolated X-vertex"):
+            genminc_bound(BipartiteGraph(2, 3, [(0, 0), (0, 1)]))
 
 
 class TestPhiWild:
@@ -271,24 +273,24 @@ class TestWildBound:
         for ell, m in ((2, 5), (3, 4)):
             b = complete_bipartite(ell, m)
             exact = log2_int(matching_profile(b.to_graph())[ell])
-            assert abs(wild_bound(b, ell, "gamma") - exact) < 1e-9
+            assert abs(wild_bound(b, "gamma") - exact) < 1e-9
 
     def test_uniform_marginals_match_genminc(self):
         # an 8-cycle split across the bipartition: every partner uniform
         b = BipartiteGraph(4, 4, [(0, 0), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2),
                                   (3, 2), (3, 3)])
-        assert abs(wild_bound(b, 4, "gamma") - genminc_bound(b, 4)) < 1e-9
+        assert abs(wild_bound(b, "gamma") - genminc_bound(b)) < 1e-9
 
     def test_marginal_example_holds(self):
-        val = wild_bound(MARGINAL_EXAMPLE, 2, "gamma")
+        val = wild_bound(MARGINAL_EXAMPLE, "gamma")
         assert val >= math.log2(3) - 1e-9
 
     def test_literal_fails_on_star(self):
         # the printed (no-Gamma) reading drops below the exact count here
         b = complete_bipartite(1, 2)
         exact = log2_int(matching_profile(b.to_graph())[1])
-        assert wild_bound(b, 1, "literal") < exact - 0.5
-        assert abs(wild_bound(b, 1, "gamma") - exact) < 1e-9
+        assert wild_bound(b, "literal") < exact - 0.5
+        assert abs(wild_bound(b, "gamma") - exact) < 1e-9
 
 
 class TestBoundReport:
@@ -342,7 +344,7 @@ class TestBoundReport:
         rep = bound_report(flipped, [2])[0]
         entry = rep.entry("genminc")
         assert entry.applicable
-        assert abs(entry.value_bits - genminc_bound(complete_bipartite(2, 4), 2)) < 1e-12
+        assert abs(entry.value_bits - genminc_bound(complete_bipartite(2, 4))) < 1e-12
         assert abs(entry.slack_bits) < 1e-9
 
     def test_csv_shape(self):

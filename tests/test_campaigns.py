@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -8,6 +7,12 @@ from matchbound import (CampaignConfig, bregman_bound, genminc_bound,
                         run_campaign, umc_extremal_profile, wild_bound)
 from matchbound.campaigns import _sharp_family
 from oracles import cycle_profile
+
+
+def _without_runtime(report) -> dict:
+    doc = report.to_json_dict()
+    doc.pop("runtimeSeconds")
+    return doc
 
 
 class TestUmcCampaign:
@@ -33,9 +38,7 @@ class TestUmcCampaign:
 
     def test_determinism(self):
         cfg = CampaignConfig(conjecture="umc", samples=30, seed=7, n_vertices=12, d=3)
-        a = run_campaign(cfg).to_json(include_runtime=False)
-        b = run_campaign(cfg).to_json(include_runtime=False)
-        assert a == b
+        assert _without_runtime(run_campaign(cfg)) == _without_runtime(run_campaign(cfg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -76,6 +79,11 @@ class TestConfigRules:
         (GEN, {"edge_prob": 1.5}, r"edge probability must lie in \[0, 1\]"),
         (GEN, {"edge_prob": -0.5}, r"edge probability must lie in \[0, 1\]"),
         (GEN, {"edge_prob": math.nan}, r"edge probability must lie in \[0, 1\]"),
+        (UMC, {"n_vertices": 0}, "N must be positive, got 0"),
+        (UMC, {"ell": 2}, "umc campaigns take no single ell or M"),
+        (UMC, {"size_y": 3}, "umc campaigns take no single ell or M"),
+        (GEN, {"n_vertices": 8}, "genminc campaigns take no N, d or list of ell"),
+        (GEN, {"ell_values": [2]}, "genminc campaigns take no N, d or list of ell"),
     ])
     def test_rule_raises_at_construction(self, base, change, message):
         with pytest.raises(ValueError, match=message):
@@ -105,16 +113,16 @@ class TestGenmincCampaign:
 
     def test_square_family_reduces_to_bregman(self):
         for inst in _sharp_family(3, 3, limit=10):
-            assert abs(genminc_bound(inst, 3) - bregman_bound(inst.degrees_x)) < 1e-12
+            assert abs(genminc_bound(inst) - bregman_bound(inst.degrees_x)) < 1e-12
             exact = log2_int(matching_profile(inst.to_graph())[3])
-            assert abs(genminc_bound(inst, 3) - exact) < 1e-9
+            assert abs(genminc_bound(inst) - exact) < 1e-9
 
     def test_random_batch_deterministic(self):
         cfg = CampaignConfig(conjecture="genminc", samples=40, seed=1, ell=3,
                              size_y=5, edge_prob=0.6)
         rep1 = run_campaign(cfg)
         rep2 = run_campaign(cfg)
-        assert rep1.to_json(include_runtime=False) == rep2.to_json(include_runtime=False)
+        assert _without_runtime(rep1) == _without_runtime(rep2)
         assert rep1.instances == 40
         assert not rep1.violations
 
@@ -129,7 +137,7 @@ class TestGenmincCampaign:
         assert violation.bound == "wild-literal"
         reparsed = parse_bipartite(violation.graph)
         exact = log2_int(matching_profile(reparsed.to_graph())[violation.ell])
-        assert wild_bound(reparsed, violation.ell, "literal") < exact - 1e-9
+        assert wild_bound(reparsed, "literal") < exact - 1e-9
 
     def test_wild_gamma_reading_holds_there(self):
         cfg = CampaignConfig(conjecture="wild", samples=1, seed=0, ell=1, size_y=2,
@@ -141,22 +149,21 @@ class TestGenmincCampaign:
 class TestReportContract:
     def test_json_schema(self):
         cfg = CampaignConfig(conjecture="umc", samples=3, seed=2, n_vertices=8, d=2)
-        doc = json.loads(run_campaign(cfg).to_json())
+        doc = run_campaign(cfg).to_json_dict()
         assert doc["schema"] == 1
+        assert doc["conjecture"] == "umc"
         assert doc["instances"] == 3
-        assert "runtimeSeconds" in doc
-        stripped = json.loads(run_campaign(cfg).to_json(include_runtime=False))
-        assert "runtimeSeconds" not in stripped
+        assert list(doc)[-1] == "runtimeSeconds"
 
     def test_violations_self_verify(self):
         cfg = CampaignConfig(conjecture="wild", samples=1, seed=0, ell=1, size_y=2,
                              family="sharp", phi_interp="literal")
-        doc = json.loads(run_campaign(cfg).to_json())
+        doc = run_campaign(cfg).to_json_dict()
         for v in doc["violations"]:
             reparsed = parse_bipartite(v["graph"])
             exact = log2_int(matching_profile(reparsed.to_graph())[v["ell"]])
             assert math.isclose(exact, v["lhsBits"], abs_tol=1e-12)
-            value = wild_bound(reparsed, v["ell"], "literal")
+            value = wild_bound(reparsed, "literal")
             assert math.isclose(value, v["rhsBits"], abs_tol=1e-12)
             assert value < exact - 1e-9
 

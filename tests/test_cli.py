@@ -130,6 +130,23 @@ class TestAudits:
         assert all(a["passed"] for a in doc["sizeDistributions"])
         assert all(a["passed"] for a in doc["availabilityFormulas"])
 
+    @pytest.mark.parametrize("command", ["marginals", "prooflab"])
+    @pytest.mark.parametrize("ell", ["1", "3"])
+    def test_ell_must_equal_size_x(self, bip_file, command, ell, capsys):
+        assert main([command, "--graph", bip_file, "--ell", ell]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --ell must equal |X| = 2, got {ell}\n"
+
+    @pytest.mark.parametrize("command, verb", [("marginals", "need"),
+                                               ("prooflab", "needs")])
+    def test_bipartite_input_required(self, c6_file, command, verb, capsys):
+        assert main([command, "--graph", c6_file, "--ell", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {command} {verb} a bipartite input "
+                                "(--format bipartite)\n")
+
 
 class TestCampaignCommand:
     def test_clean_run_exit_zero(self, capsys):
@@ -251,6 +268,23 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: edge probability must lie in [0, 1], got {edge_prob}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["umc", "--N", "0", "--d", "1", "--samples", "0"], "N must be positive, got 0"),
+        (["umc", "--N", "-4", "--d", "1", "--samples", "1"], "N must be positive, got -4"),
+        (["umc", "--N", "12", "--d", "3", "--M", "99"],
+         "umc campaigns take no single ell or M"),
+        (["genminc", "--ell", "2", "--M", "3", "--N", "5", "--d", "7"],
+         "genminc campaigns take no N, d or list of ell values"),
+        (["wild", "--ell", "2", "--M", "3", "--d", "3"],
+         "wild campaigns take no N, d or list of ell values"),
+    ])
+    def test_campaign_config_refused(self, argv, message, capsys):
+        # refused when the config is built, not ignored or failed late
+        assert main(["campaign", "--conjecture", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_bounds_json_and_csv_exclusive(self, c6_file, capsys):
         assert main(["bounds", "--graph", c6_file, "--json", "--csv"]) == 1
         out, err = capsys.readouterr()
@@ -275,15 +309,15 @@ class TestCapMessages:
         path = tmp_path / "k12.edges"
         path.write_text(emit_edge_list(Graph(12, itertools.combinations(range(12), 2))))
         assert self._run(["fibers", "--graph", str(path), "--ell", "3"], capsys) == (
-            "infeasible: 13860 matchings exceed the audit cap 10000; raise it with "
-            "verify_fibers(count_cap=...), which no CLI flag sets\n")
+            "infeasible: 13860 matchings exceed the audit cap 10000; the cap is the "
+            "fixed constant correspondence.COUNT_CAP, with no knob\n")
 
     def test_fiber_cover_cap(self, tmp_path, capsys):
         path = tmp_path / "k10.edges"
         path.write_text(emit_edge_list(Graph(10, itertools.combinations(range(10), 2))))
         assert self._run(["fibers", "--graph", str(path), "--ell", "5"], capsys) == (
-            "infeasible: 1334961 cover matchings exceed the audit cap 100000; raise it "
-            "with verify_fibers(cover_cap=...), which no CLI flag sets\n")
+            "infeasible: 1334961 cover matchings exceed the audit cap 100000; the cap "
+            "is the fixed constant correspondence.COVER_CAP, with no knob\n")
 
     def test_prooflab_caps(self, tmp_path, capsys):
         path = tmp_path / "k56.bip"

@@ -203,7 +203,7 @@ class TestVerifyFibers:
             g = random_graph(n, 0.35, seed=500 + i)
             for ell in range(n // 2 + 1):
                 rep = verify_fibers(g, ell)
-                assert rep.passed, (i, ell, rep.to_json())
+                assert rep.passed, (i, ell, rep.to_json_dict())
                 assert rep.totals["countSquared"] <= rep.totals["coverCount"]
 
     @pytest.mark.parametrize("ell", [-1, 3])
@@ -211,14 +211,19 @@ class TestVerifyFibers:
         with pytest.raises(ValueError, match=r"ell must lie in 0\.\.N/2 = 0\.\.2"):
             verify_fibers(cycle_graph(4), ell)
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         g = complete_bipartite(5, 5).to_graph()
+        monkeypatch.setattr(correspondence, "COUNT_CAP", 10)
         with pytest.raises(CapExceeded, match=r"^200 matchings exceed the audit cap 10; "
-                           r"raise it with verify_fibers\(count_cap=\.\.\.\)"):
-            verify_fibers(g, 2, count_cap=10)
-        with pytest.raises(CapExceeded, match=r"cover matchings exceed the audit cap 10; "
-                           r"raise it with verify_fibers\(cover_cap=\.\.\.\)"):
-            verify_fibers(g, 2, cover_cap=10)
+                           r"the cap is the fixed constant correspondence\.COUNT_CAP, "
+                           r"with no knob$"):
+            verify_fibers(g, 2)
+        monkeypatch.setattr(correspondence, "COUNT_CAP", 10_000)
+        monkeypatch.setattr(correspondence, "COVER_CAP", 10)
+        with pytest.raises(CapExceeded, match=r"^\d+ cover matchings exceed the audit cap "
+                           r"10; the cap is the fixed constant correspondence\.COVER_CAP, "
+                           r"with no knob$"):
+            verify_fibers(g, 2)
 
     def test_invalid_pattern_offenders_capped(self, monkeypatch):
         # classify every projection as invalid: far more than ten offenders
@@ -300,7 +305,8 @@ class TestRecordedReports:
     def test_reports(self, entry):
         g = parse_graph6(entry["graph6"])
         for ell, text in entry["reports"].items():
-            assert verify_fibers(g, int(ell), graph_id=entry["name"]).to_json() == text
+            rep = verify_fibers(g, int(ell), graph_id=entry["name"])
+            assert json.dumps(rep.to_json_dict(), indent=2) == text
         for ell in entry["cappedElls"]:
             with pytest.raises(CapExceeded):
                 verify_fibers(g, ell)
@@ -402,7 +408,8 @@ class TestAuditCatchesFaults:
             return real_enumerate(graph, size, labels)
         monkeypatch.setattr(correspondence, "matching_profile", short_cover)
         monkeypatch.setattr(correspondence, "enumerate_matchings", recording)
-        rep = verify_fibers(cycle_graph(6), 1, cover_cap=10)
+        monkeypatch.setattr(correspondence, "COVER_CAP", 10)
+        rep = verify_fibers(cycle_graph(6), 1)
         assert enumerated == [12]  # the cover only
         assert rep.checks[0].detail == \
             "pair fibers not measured: 36 ordered pairs exceed the audit cap 10"

@@ -191,21 +191,21 @@ class TestSerialization:
 
 class TestMarginals:
     def test_k22_symmetry(self):
-        table = matching_marginals(complete_bipartite(2, 2), 2)
+        table = matching_marginals(complete_bipartite(2, 2))
         assert all(p == Fraction(1, 2) for row in table.p for p in row)
         assert table.mu == [Fraction(1), Fraction(1)]
         assert table.h_edge == [1.0, 1.0]
 
     def test_worked_example(self):
         b = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
-        table = matching_marginals(b, 2)
+        table = matching_marginals(b)
         assert table.p[0] == [Fraction(2, 3), Fraction(1, 3), Fraction(0)]
         assert table.p[1] == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
         assert table.mu == [Fraction(2, 3)] * 3
 
     def test_complete_rows_uniform(self):
         for ell, m in ((2, 4), (3, 5)):
-            table = matching_marginals(complete_bipartite(ell, m), ell)
+            table = matching_marginals(complete_bipartite(ell, m))
             assert all(p == Fraction(1, m) for row in table.p for p in row)
 
     def test_row_sums_and_mu_total(self):
@@ -217,7 +217,7 @@ class TestMarginals:
                      if rng.random() < 0.6]
             b = BipartiteGraph(ell, m, edges)
             try:
-                table = matching_marginals(b, ell)
+                table = matching_marginals(b)
             except ValueError:
                 continue
             found += 1
@@ -227,19 +227,16 @@ class TestMarginals:
             assert all(table.nu[y] == 1 - table.mu[y] for y in range(m))
 
     def test_errors(self):
-        b = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
-        with pytest.raises(ValueError, match="size_x == ell"):
-            matching_marginals(b, 1)
         blocked = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
         with pytest.raises(ValueError, match="saturating"):
-            matching_marginals(blocked, 2)
+            matching_marginals(blocked)
         tall = BipartiteGraph(3, 2, [(0, 0), (1, 1), (2, 1)])
         with pytest.raises(ValueError, match="size_y"):
-            matching_marginals(tall, 3)
+            matching_marginals(tall)
 
     def test_json_fractions(self):
         b = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
-        doc = matching_marginals(b, 2).to_json_dict()
+        doc = matching_marginals(b).to_json_dict()
         assert doc["p"][0][0] == "2/3"
         assert doc["mu"] == ["2/3", "2/3", "2/3"]
 
@@ -252,7 +249,7 @@ class TestColumnDP:
         family = _sharp_family(ell, m, limit=10)
         assert len(family) == 5
         for b in family:
-            table = matching_marginals(b, ell)
+            table = matching_marginals(b)
             expected_count = 1
             for x, ys in enumerate(b.adj_x):
                 a = b.adj_x.count(ys)
@@ -275,7 +272,7 @@ class TestColumnDP:
         with pytest.raises(CapExceeded, match=message):
             saturating_count(b)
         with pytest.raises(CapExceeded, match=message):
-            matching_marginals(b, 6)
+            matching_marginals(b)
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert saturating_count(b) == math.factorial(6)
 

@@ -89,9 +89,9 @@ class TestProperties:
                     hits[x][y] += 1
         if total == 0:
             with pytest.raises(ValueError, match="saturating"):
-                matching_marginals(b, b.size_x)
+                matching_marginals(b)
             return
-        table = matching_marginals(b, b.size_x)
+        table = matching_marginals(b)
         assert table.p == [[Fraction(h, total) for h in row] for row in hits]
         assert table.mu == [sum((table.p[x][y] for x in range(b.size_x)), Fraction(0))
                             for y in range(b.size_y)]

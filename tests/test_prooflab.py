@@ -27,63 +27,63 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "prooflab_reports.json").r
 class TestSizeDistribution:
     def test_single_choice_point_mass(self):
         b = complete_bipartite(1, 4)
-        audit = zx_distribution_audit(Enumeration(b, 1), 0)
+        audit = zx_distribution_audit(Enumeration(b), 0)
         assert audit.q_table == {4: Fraction(1)}
         assert audit.passed
 
     def test_half_half(self):
-        audit = zx_distribution_audit(Enumeration(MARGINAL_EXAMPLE, 2), 0)
+        audit = zx_distribution_audit(Enumeration(MARGINAL_EXAMPLE), 0)
         assert audit.q_table == {2: Fraction(1, 2), 3: Fraction(1, 2)}
         assert audit.passed
 
     def test_square_case_uniform(self):
-        audit = zx_distribution_audit(Enumeration(complete_bipartite(3, 3), 3), 1)
+        audit = zx_distribution_audit(Enumeration(complete_bipartite(3, 3)), 1)
         assert audit.q_table == {k: Fraction(1, 3) for k in (1, 2, 3)}
         assert audit.passed
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
-            zx_distribution_audit(Enumeration(complete_bipartite(5, 5), 5), 0)
+            zx_distribution_audit(Enumeration(complete_bipartite(5, 5)), 0)
 
     def test_no_saturating_matching(self):
         b = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
         with pytest.raises(ValueError, match="saturating"):
-            zx_distribution_audit(Enumeration(b, 2), 0)
+            zx_distribution_audit(Enumeration(b), 0)
 
 
 class TestAvailabilityFormula:
     def test_single_step(self):
         b = BipartiteGraph(1, 3, [(0, 0), (0, 1)])
-        audit = rk_formula_audit(Enumeration(b, 1), 0, 1)
-        enum = Enumeration(b, 1)
+        audit = rk_formula_audit(Enumeration(b), 0, 1)
+        enum = Enumeration(b)
         expected = enum.nu[1] + enum.p[0][1]
         assert audit.r_table[(3, 1)] == expected
         assert audit.passed
 
     def test_worked_example(self):
-        audit = rk_formula_audit(Enumeration(MARGINAL_EXAMPLE, 2), 0, 1)
+        audit = rk_formula_audit(Enumeration(MARGINAL_EXAMPLE), 0, 1)
         assert audit.passed
         assert set(audit.r_table) == {(2, 1), (3, 1)}
 
     def test_k22(self):
         for x, y in complete_bipartite(2, 2).edges:
-            audit = rk_formula_audit(Enumeration(complete_bipartite(2, 2), 2), x, y)
+            audit = rk_formula_audit(Enumeration(complete_bipartite(2, 2)), x, y)
             assert audit.passed
 
     def test_zero_probability_edge_rejected(self):
         b = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 1)])
         with pytest.raises(ValueError, match="partner"):
-            rk_formula_audit(Enumeration(b, 2), 0, 1)  # edge exists but is never used
+            rk_formula_audit(Enumeration(b), 0, 1)  # edge exists but is never used
 
     def test_json_fractions(self):
-        doc = rk_formula_audit(Enumeration(MARGINAL_EXAMPLE, 2), 0, 1).to_json_dict()
+        doc = rk_formula_audit(Enumeration(MARGINAL_EXAMPLE), 0, 1).to_json_dict()
         assert doc["passed"] is True
         assert all("/" in v for v in doc["qTable"].values())
 
 
 class TestInequalityChain:
     def test_k22(self):
-        audit = inequality_chain_audit(Enumeration(complete_bipartite(2, 2), 2))
+        audit = inequality_chain_audit(Enumeration(complete_bipartite(2, 2)))
         labels = [label for label, _v in audit.checkpoints]
         values = dict(audit.checkpoints)
         assert labels[0] == "exact-entropy"
@@ -94,31 +94,31 @@ class TestInequalityChain:
 
     def test_star_chain_collapses(self):
         for m in (2, 3, 5):
-            audit = inequality_chain_audit(Enumeration(complete_bipartite(1, m), 1))
+            audit = inequality_chain_audit(Enumeration(complete_bipartite(1, m)))
             values = dict(audit.checkpoints)
             assert abs(values["exact-entropy"] - math.log2(m)) < 1e-12
             assert abs(values["given-available-set"] - math.log2(m)) < 1e-12
             assert audit.passed
 
     def test_worked_example(self):
-        audit = inequality_chain_audit(Enumeration(MARGINAL_EXAMPLE, 2))
+        audit = inequality_chain_audit(Enumeration(MARGINAL_EXAMPLE))
         assert abs(audit.checkpoints[0][1] - math.log2(3)) < 1e-12
         assert audit.passed
 
     def test_chain_rule_identity_on_catalog(self):
         for b, ell in CATALOG:
-            audit = inequality_chain_audit(Enumeration(b, ell))
+            audit = inequality_chain_audit(Enumeration(b))
             assert audit.chain_rule_gap <= TOL, (b.edges, ell)
 
     def test_monotone_on_catalog(self):
         for b, ell in CATALOG:
-            audit = inequality_chain_audit(Enumeration(b, ell))
+            audit = inequality_chain_audit(Enumeration(b))
             values = [v for _l, v in audit.checkpoints]
             for i in range(len(values) - 1):
                 assert values[i] <= values[i + 1] + TOL, (b.edges, ell, audit.checkpoints)
 
     def test_json_shape(self):
-        doc = inequality_chain_audit(Enumeration(MARGINAL_EXAMPLE, 2)).to_json_dict()
+        doc = inequality_chain_audit(Enumeration(MARGINAL_EXAMPLE)).to_json_dict()
         assert doc["schema"] == 1 and doc["passed"] is True
         assert len(doc["checkpoints"]) == 6
 
@@ -126,17 +126,17 @@ class TestInequalityChain:
 class TestStepAudits:
     def test_refinement_on_catalog(self):
         for b, ell in CATALOG[:60]:
-            for entry in step_refinement_audit(Enumeration(b, ell)):
+            for entry in step_refinement_audit(Enumeration(b)):
                 assert entry["ok"], (b.edges, ell, entry)
 
     def test_gx_on_catalog(self):
         for b, ell in CATALOG[:60]:
-            for entry in gx_step_audit(Enumeration(b, ell)):
+            for entry in gx_step_audit(Enumeration(b)):
                 assert entry["ok"], (b.edges, ell, entry)
 
     def test_middle_on_catalog(self):
         for b, ell in CATALOG[:60]:
-            assert middle_step_audit(Enumeration(b, ell))["ok"], (b.edges, ell)
+            assert middle_step_audit(Enumeration(b))["ok"], (b.edges, ell)
 
 
 class TestEnumerationOrder:
@@ -146,15 +146,15 @@ class TestEnumerationOrder:
             edges = set(b.edges)
             expected = sorted(f for f in permutations(range(b.size_y), ell)
                               if all((x, y) in edges for x, y in enumerate(f)))
-            assert Enumeration(b, ell).fs == expected, (b.edges, ell)
+            assert Enumeration(b).fs == expected, (b.edges, ell)
 
 
 class TestEnumerationAgainstMarginals:
     def test_dual_route_probabilities(self):
         # enumeration frequencies versus the deletion-count rationals
         for b, ell in CATALOG[:40]:
-            enum = Enumeration(b, ell)
-            table = matching_marginals(b, ell)
+            enum = Enumeration(b)
+            table = matching_marginals(b)
             assert enum.p == table.p
             assert enum.mu == table.mu
 
@@ -174,7 +174,7 @@ class TestCatalog:
 
 
 def _assert_matches_order_walk(b, ell):
-    enum = Enumeration(b, ell)
+    enum = Enumeration(b)
     for x in range(ell):
         q, q_cond, r, h_available, h_history = order_walk(b.edges, ell, b.size_y, x)
         tables = enum.size_tables(x)
@@ -212,7 +212,7 @@ class TestAgainstOrderWalk:
         if not any(all((x, y) in edge_set for x, y in enumerate(f))
                    for f in permutations(range(b.size_y), ell)):
             with pytest.raises(ValueError, match="saturating"):
-                Enumeration(b, ell)
+                Enumeration(b)
             return
         _assert_matches_order_walk(b, ell)
 
@@ -223,7 +223,7 @@ class TestXRange:
                                           "conditional_entropy_given_history"])
     @pytest.mark.parametrize("x", [-1, 2, 5])
     def test_out_of_range(self, accessor, x):
-        enum = Enumeration(complete_bipartite(2, 2), 2)
+        enum = Enumeration(complete_bipartite(2, 2))
         with pytest.raises(ValueError, match=rf"^x out of range: {x}$"):
             getattr(enum, accessor)(x)
 
@@ -237,7 +237,7 @@ class TestRecordedReports:
         assert main(["prooflab", "--graph", str(path), "--ell", str(entry["ell"])]) == 0
         captured = capsys.readouterr()
         assert captured.out == entry["stdout"] and captured.err == ""
-        enum = Enumeration(parse_bipartite(entry["bipartite"]), entry["ell"])
+        enum = Enumeration(parse_bipartite(entry["bipartite"]))
         assert repr(step_refinement_audit(enum)) == entry["stepRefinement"]
         assert repr(middle_step_audit(enum)) == entry["middleStep"]
         assert repr(gx_step_audit(enum)) == entry["gxStep"]
