@@ -8,22 +8,17 @@ from .bounds import (BoundEntry, BoundReport, binary_entropy, bound_report,
                      thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                      wild_bound)
 from .campaigns import CampaignConfig, CampaignReport, Violation, run_campaign
-from .correspondence import (AuditReport, UnionPattern, multiset_union_classify,
-                             project_cover_matching, verify_fibers)
+from .correspondence import AuditReport, verify_fibers
 from .counting import (MarginalTable, MaskProfiler, enumerate_matchings, kdd_profile,
-                       matching_marginals, matching_profile,
-                       matching_profile_bruteforce, profile_convolution,
-                       profile_from_json, profile_to_json, saturating_count,
-                       umc_extremal_profile)
+                       matching_marginals, matching_profile, profile_convolution,
+                       profile_to_json, saturating_count, umc_extremal_profile)
 from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, Graph, as_bipartite,
                      bipartite_double_cover, complete_bipartite, cycle_graph,
                      disjoint_union, emit_bipartite, emit_edge_list, emit_graph6,
-                     make_umc_extremal, parse_bipartite, parse_edge_list,
-                     parse_graph6, random_bipartite, random_graph, random_regular)
-from .prooflab import (ChainAudit, DistributionAudit, Enumeration, gx_step_audit,
-                       inequality_chain_audit, middle_step_audit, rk_formula_audit,
-                       step_refinement_audit, tiny_bipartite_catalog,
-                       zx_distribution_audit)
+                     parse_bipartite, parse_edge_list, parse_graph6, random_graph,
+                     random_regular)
+from .prooflab import (ChainAudit, DistributionAudit, Enumeration,
+                       inequality_chain_audit, rk_formula_audit, zx_distribution_audit)
 
 __version__ = "0.1.0"

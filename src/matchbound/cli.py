@@ -15,7 +15,7 @@ from .bounds import bound_report, reports_to_csv
 from .campaigns import CampaignConfig, run_campaign
 from .correspondence import verify_fibers
 from .counting import matching_marginals, matching_profile, profile_to_json
-from .errors import CapExceeded
+from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, Graph, bipartite_double_cover, emit_bipartite,
                      parse_bipartite, parse_edge_list, parse_graph6)
 from .prooflab import (Enumeration, inequality_chain_audit, rk_formula_audit,
@@ -42,13 +42,17 @@ def _read_graph(args, want):
     parsed, and want=BipartiteGraph refuses any input but a bipartite one
     whose |X| equals --ell."""
     path, fmt = args.graph, args.format
-    if path == "-":
-        text = sys.stdin.read()
-        name = "stdin"
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        name = path
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            # in the C locale stdin reads undecodable bytes as lone surrogates
+            text.encode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeError:
+        raise ParseError(f"{name} is not UTF-8 text") from None
     if fmt is None:
         if path.endswith(".g6"):
             fmt = "g6"

@@ -36,43 +36,6 @@ def _pair_fiber(comps: int, odd_paths: int, has_odd_cycle: bool) -> int:
     return (1 << (comps - odd_paths)) * math.comb(odd_paths, odd_paths // 2)
 
 
-@dataclass(frozen=True)
-class UnionPattern:
-    """A classified edge-multiset pattern.
-
-    edges is the canonical form: sorted ((u, v), multiplicity) pairs.
-    """
-
-    edges: tuple
-    non_two_cycle_components: int
-    odd_path_components: int
-    has_odd_cycle: bool
-    valid: bool
-
-    def cover_fiber_size(self) -> int:
-        """Number of cover matchings projecting onto this pattern: 2^c."""
-        if not self.valid:
-            return 0
-        return 2 ** self.non_two_cycle_components
-
-    def pair_fiber_size(self) -> int:
-        """Number of ordered matching pairs with this multiset union:
-        2^(c - op) * C(op, op/2), zero for odd-cycle patterns."""
-        if not self.valid:
-            return 0
-        return _pair_fiber(self.non_two_cycle_components, self.odd_path_components,
-                           self.has_odd_cycle)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "edges": [[u, v, mult] for (u, v), mult in self.edges],
-            "nonTwoCycleComponents": self.non_two_cycle_components,
-            "oddPathComponents": self.odd_path_components,
-            "hasOddCycle": self.has_odd_cycle,
-            "valid": self.valid,
-        }
-
-
 _INVALID = (False, 0, 0, False)
 
 
@@ -131,69 +94,6 @@ def _classify(items) -> tuple[bool, int, int, bool]:
     return True, comps, odd_paths, bool(odd_cycle)
 
 
-def _pattern(items) -> UnionPattern:
-    """A UnionPattern from sorted ((u, v), multiplicity) items."""
-    valid, comps, odd_paths, odd_cycle = _classify(items)
-    return UnionPattern(edges=tuple(items), non_two_cycle_components=comps,
-                        odd_path_components=odd_paths, has_odd_cycle=odd_cycle,
-                        valid=valid)
-
-
-def _check_matching(edges, n: int, graph: Graph | None, label: str) -> list:
-    norm = []
-    used = set()
-    edge_set = set(graph.edges) if graph is not None else None
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{label}: bad edge ({u}, {v})")
-        e = (u, v) if u < v else (v, u)
-        if edge_set is not None and e not in edge_set:
-            raise ValueError(f"{label}: ({u}, {v}) is not a graph edge")
-        if u in used or v in used:
-            raise ValueError(f"{label}: edges are not disjoint")
-        used.add(u)
-        used.add(v)
-        norm.append(e)
-    return norm
-
-
-def multiset_union_classify(m1, m2, graph: Graph | None = None,
-                            n: int | None = None) -> UnionPattern:
-    """Classify the multiset union of two equal-size matchings."""
-    if graph is None and n is None:
-        raise ValueError("pass the host graph or a vertex count")
-    nn = graph.n if graph is not None else n
-    e1 = _check_matching(m1, nn, graph, "first matching")
-    e2 = _check_matching(m2, nn, graph, "second matching")
-    if len(e1) != len(e2):
-        raise ValueError(f"matchings differ in size: {len(e1)} vs {len(e2)}")
-    return _pattern(sorted((Counter(e1) + Counter(e2)).items()))
-
-
-def project_cover_matching(cover_matching, g: Graph) -> UnionPattern:
-    """Project a matching of the double cover of g down to g.
-
-    Cover edges are (x, y) pairs meaning X-copy of x matched to Y-copy of y;
-    the image edge is {x, y} counted with multiplicity.
-    """
-    edge_set = set(g.edges)
-    xs: set = set()
-    ys: set = set()
-    mult: Counter = Counter()
-    for x, y in cover_matching:
-        if not (0 <= x < g.n and 0 <= y < g.n):
-            raise ValueError(f"cover vertex out of range: ({x}, {y})")
-        e = (x, y) if x < y else (y, x)
-        if e not in edge_set:
-            raise ValueError(f"({x}, {y}) does not project to a graph edge")
-        if x in xs or y in ys:
-            raise ValueError("cover edges are not disjoint")
-        xs.add(x)
-        ys.add(y)
-        mult[e] += 1
-    return _pattern(sorted(mult.items()))
-
-
 @dataclass
 class AuditCheck:
     name: str
@@ -238,7 +138,7 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "") -> AuditReport:
     cover, and all ordered pairs of ell-matchings of g (count^2 of them, at
     most the cover count by (e), and never more than COVER_CAP), and checks:
       (a) every odd-cycle-free pattern is the multiset union of exactly
-          pair_fiber_size() ordered matching pairs, every other pattern of
+          2^(c - op) * C(op, op/2) ordered matching pairs, every other pattern of
           none, and every pair union is some cover matching's projection,
       (b) every pattern is hit by exactly 2^c cover matchings,
       (c) the squared ell-matching count equals the pair-fiber sum over
@@ -293,8 +193,10 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "") -> AuditReport:
     def offend(check, key, classified, **extra):
         if len(offenders) < 10:
             valid, comps, odd_paths, odd_cycle = classified
-            pattern = UnionPattern(tuple(items(key)), comps, odd_paths, odd_cycle, valid)
-            offenders.append({"check": check, "pattern": pattern.to_json_dict(), **extra})
+            pattern = {"edges": [[u, v, mult] for (u, v), mult in items(key)],
+                       "nonTwoCycleComponents": comps, "oddPathComponents": odd_paths,
+                       "hasOddCycle": odd_cycle, "valid": valid}
+            offenders.append({"check": check, "pattern": pattern, **extra})
 
     ok_a = ok_b = True
     sum_even = 0

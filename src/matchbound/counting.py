@@ -17,15 +17,17 @@ from .graphs import BipartiteGraph, Graph
 
 STATE_CAP_ENV = "MATCHBOUND_STATE_CAP"
 DEFAULT_STATE_CAP = 1 << 20
-MAX_BRUTEFORCE_EDGES = 24
 
 
 def _state_cap() -> int:
     env = os.environ.get(STATE_CAP_ENV)
     try:
-        return int(env) if env else DEFAULT_STATE_CAP
+        cap = int(env) if env else DEFAULT_STATE_CAP
     except ValueError:
         raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"{STATE_CAP_ENV} must be at least 1, got {env!r}")
+    return cap
 
 
 class MaskProfiler:
@@ -166,20 +168,6 @@ def _walk(masks, lows, labels, size: int):
         i += 1
 
 
-def matching_profile_bruteforce(g: Graph) -> list[int]:
-    """Independent oracle: every matching enumerated, size by size, with no
-    memoization. Stops at the first size with no matching. Capped at 24 edges."""
-    if g.num_edges > MAX_BRUTEFORCE_EDGES:
-        raise CapExceeded(
-            f"brute force is limited to {MAX_BRUTEFORCE_EDGES} edges, got {g.num_edges}")
-    counts = [0] * (g.n // 2 + 1)
-    for size in range(len(counts)):
-        counts[size] = sum(1 for _ in enumerate_matchings(g, size))
-        if not counts[size]:
-            break
-    return counts
-
-
 def profile_convolution(a, b) -> list[int]:
     """Profile of a disjoint union: c[l] = sum_j a[j] * b[l-j]."""
     out = [0] * (len(a) + len(b) - 1)
@@ -213,11 +201,6 @@ def umc_extremal_profile(n_vertices: int, d: int) -> list[int]:
 def profile_to_json(counts) -> str:
     """Counts as decimal strings so arbitrary precision survives round-trip."""
     return json.dumps({"schema": 1, "counts": [str(c) for c in counts]})
-
-
-def profile_from_json(text: str) -> list[int]:
-    doc = json.loads(text)
-    return [int(c) for c in doc["counts"]]
 
 
 def frac_str(fr: Fraction) -> str:

@@ -314,16 +314,12 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
-    if a < 1 or b < 1:
-        raise ValueError("complete bipartite parts must be nonempty")
     return BipartiteGraph(a, b, [(x, y) for x in range(a) for y in range(b)])
 
 
 def disjoint_union(graphs) -> Graph:
     """Disjoint union with consecutive relabeling, in the given order."""
     graphs = list(graphs)
-    if not graphs:
-        raise ValueError("disjoint union of nothing")
     total = sum(g.n for g in graphs)
     edges = []
     offset = 0
@@ -331,16 +327,6 @@ def disjoint_union(graphs) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
     return Graph(total, edges)
-
-
-def make_umc_extremal(n_vertices: int, d: int) -> Graph:
-    """The disjoint union of n/(2d) copies of K_{d,d}, as a single Graph."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if n_vertices % (2 * d) != 0:
-        raise ValueError(f"2d = {2 * d} must divide N = {n_vertices}")
-    block = complete_bipartite(d, d).to_graph()
-    return disjoint_union([block] * (n_vertices // (2 * d)))
 
 
 def bipartite_double_cover(g: Graph) -> BipartiteGraph:
@@ -395,13 +381,6 @@ def random_graph(n: int, p: float, seed) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
-
-
-def random_bipartite(size_x: int, size_y: int, p: float, seed) -> BipartiteGraph:
-    """Seeded bipartite analogue of G(n, p)."""
-    rng = random.Random(seed)
-    edges = [(x, y) for x in range(size_x) for y in range(size_y) if rng.random() < p]
-    return BipartiteGraph(size_x, size_y, edges)
 
 
 def as_bipartite(g: Graph):

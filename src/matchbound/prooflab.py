@@ -12,21 +12,19 @@ floating point. Every inequality gets a uniform 1e-9 slack.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .bounds import LOG2E, binary_entropy, log2_int, log_ratio, thm_bipartite_bound
-from .counting import entropy_bits, enumerate_matchings, frac_str, saturating_count
+from .bounds import LOG2E, binary_entropy, log2_int, thm_bipartite_bound
+from .counting import entropy_bits, enumerate_matchings, frac_str
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
 TOL = 1e-9
 MAX_ELL = 4
 MAX_M = 5
-CATALOG_SEED = 20240911  # the seed the recorded prooflab reports were drawn from
 
 
 def _f(t: float) -> float:
@@ -36,13 +34,6 @@ def _f(t: float) -> float:
     if t == 1.0:
         return LOG2E
     return -(t / (1.0 - t)) * math.log2(t)
-
-
-def _g(t: float, d: int) -> float:
-    """t*[ _f(t) - log2(d*t) ], the per-edge term of the degree split."""
-    if t == 1.0:
-        return LOG2E - math.log2(d)
-    return t * _f(t) - t * math.log2(d * t)
 
 
 class Enumeration:
@@ -309,94 +300,3 @@ def inequality_chain_audit(enum: Enumeration) -> ChainAudit:
         ("degree-bound", c5),
     ]
     return audit
-
-
-# ---------------------------------------------------------------------------
-# individual proof-step checks (used by the property tests)
-# ---------------------------------------------------------------------------
-
-def step_refinement_audit(enum: Enumeration) -> list[dict]:
-    """Per-(x, y) refinement: the table value F is at most the midpoint sum
-    of U(j/(ell-1)), which is at most the closed concave form."""
-    ell = enum.ell
-    results = []
-    for x in range(ell):
-        _q, q_cond, r_full = enum.size_tables(x)
-        for y in range(enum.m):
-            p_xy = enum.p[x][y]
-            if not p_xy:
-                continue
-            f_xy = _table_term(q_cond[y], r_full, y)
-            a = float(enum.mu[y] - p_xy)
-            c = float(enum.nu[y] + p_xy)
-            if ell == 1:
-                midpoint = math.log2(c)
-            else:
-                midpoint = sum(math.log2(a * (j / (ell - 1)) + c)
-                               for j in range(ell)) / ell
-            endpoint = _f(c) - LOG2E
-            results.append({
-                "x": x, "y": y, "table": f_xy, "midpoint": midpoint,
-                "endpoint": endpoint,
-                "ok": f_xy <= midpoint + TOL and midpoint <= endpoint + TOL,
-            })
-    return results
-
-
-def gx_step_audit(enum: Enumeration) -> list[dict]:
-    """Per-x concavity step: the summed per-edge terms are at most
-    log2(d_x)/(d_x - 1)."""
-    degs = enum.b.degrees_x
-    results = []
-    for x in range(enum.ell):
-        lhs = sum(_g(float(enum.p[x][y]), degs[x])
-                  for y in range(enum.m) if enum.p[x][y])
-        rhs = log_ratio(degs[x])
-        results.append({"x": x, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + TOL})
-    return results
-
-
-def middle_step_audit(enum: Enumeration) -> dict:
-    """Concavity of t*log2(1/t) over the nu values against the aggregate."""
-    lhs = entropy_bits(enum.nu)
-    alpha_y = enum.ell / enum.m
-    alpha_term = 0.0 if alpha_y == 0 else alpha_y * math.log2(alpha_y)
-    rhs = enum.m * (binary_entropy(alpha_y) + alpha_term)
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + TOL}
-
-
-# ---------------------------------------------------------------------------
-# audit catalog
-# ---------------------------------------------------------------------------
-
-def tiny_bipartite_catalog() -> list[tuple[BipartiteGraph, int]]:
-    """Instances for the audit suite: every connectivity pattern with
-    |X| = 2 and M <= 4 (no isolated vertices, at least one X-saturating
-    matching), plus random instances up to the enumeration caps, drawn from
-    CATALOG_SEED."""
-    instances = []
-    for m in (2, 3, 4):
-        pairs = [(x, y) for x in range(2) for y in range(m)]
-        for bits in range(1, 1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            cand = BipartiteGraph(2, m, edges)
-            if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
-                continue
-            if saturating_count(cand) > 0:
-                instances.append((cand, 2))
-    rng = random.Random(CATALOG_SEED)
-    for ell, m, wanted in ((3, 4, 8), (3, 5, 8), (4, 5, 8)):
-        got = 0
-        while got < wanted:
-            edges = [(x, y) for x in range(ell) for y in range(m)
-                     if rng.random() < 0.55]
-            try:
-                cand = BipartiteGraph(ell, m, edges)
-            except ValueError:
-                continue
-            if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
-                continue
-            if saturating_count(cand) > 0:
-                instances.append((cand, ell))
-                got += 1
-    return instances

@@ -1,19 +1,23 @@
-"""Independent reference formulas and tiny helpers used as test oracles.
+"""Independent reference formulas and tiny helpers used as test oracles,
+and the catalog of tiny bipartite instances the proof-lab tests run on.
 
 These deliberately avoid the library's code paths: closed forms, explicit
 enumerations, and (for graph6) networkx as an external reference encoder.
+The brute-force profile shares only the library's matching enumerator.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from matchbound import UnionPattern
+from matchbound import BipartiteGraph, enumerate_matchings, saturating_count
+
+MAX_BRUTEFORCE_EDGES = 24
+CATALOG_SEED = 20240911  # the seed the recorded prooflab reports were drawn from
 
 
 def cycle_profile(n: int) -> list[int]:
@@ -26,6 +30,18 @@ def cycle_profile(n: int) -> list[int]:
 
 def kdd_count(d: int, l: int) -> int:
     return math.comb(d, l) ** 2 * math.factorial(l)
+
+
+def matching_profile_bruteforce(g) -> list[int]:
+    """Every matching enumerated, size by size, with no memoization. Stops
+    at the first size with no matching. Meant for at most 24 edges."""
+    assert g.num_edges <= MAX_BRUTEFORCE_EDGES, g.num_edges
+    counts = [0] * (g.n // 2 + 1)
+    for size in range(len(counts)):
+        counts[size] = sum(1 for _ in enumerate_matchings(g, size))
+        if not counts[size]:
+            break
+    return counts
 
 
 def elementary_symmetric_by_subsets(values, ell: int) -> int:
@@ -96,16 +112,14 @@ def classify_multigraph(items) -> tuple[bool, int, int, bool]:
     return True, comps, odd_paths, odd_cycle
 
 
-def count_pair_decompositions(pattern: UnionPattern, ell: int) -> int:
+def count_pair_decompositions(items, ell: int) -> int:
     """Number of ordered pairs of ell-matchings whose multiset union is the
-    pattern, by direct assignment enumeration (the fiber of the union map).
-    An independent count: verify_fibers measures pair fibers by enumerating
-    the pairs themselves."""
-    if not pattern.valid:
-        return 0
+    pattern given by its ((u, v), multiplicity) items, by direct assignment
+    enumeration (the fiber of the union map). An independent count:
+    verify_fibers measures pair fibers by enumerating the pairs themselves."""
     singles = []
     doubles = []
-    for (u, v), m in pattern.edges:
+    for (u, v), m in items:
         mask = (1 << u) | (1 << v)
         if m == 1:
             singles.append(mask)
@@ -186,3 +200,36 @@ def _conditional_entropy(joint: dict) -> float:
     for (_a, b), pr in joint.items():
         h += float(pr) * math.log2(marg[b] / pr)
     return h
+
+
+def tiny_bipartite_catalog() -> list[tuple[BipartiteGraph, int]]:
+    """Instances for the proof-lab tests: every connectivity pattern with
+    |X| = 2 and M <= 4 (no isolated vertices, at least one X-saturating
+    matching), plus random instances up to the enumeration caps, drawn from
+    CATALOG_SEED."""
+    instances = []
+    for m in (2, 3, 4):
+        pairs = [(x, y) for x in range(2) for y in range(m)]
+        for bits in range(1, 1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+            cand = BipartiteGraph(2, m, edges)
+            if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
+                continue
+            if saturating_count(cand) > 0:
+                instances.append((cand, 2))
+    rng = random.Random(CATALOG_SEED)
+    for ell, m, wanted in ((3, 4, 8), (3, 5, 8), (4, 5, 8)):
+        got = 0
+        while got < wanted:
+            edges = [(x, y) for x in range(ell) for y in range(m)
+                     if rng.random() < 0.55]
+            try:
+                cand = BipartiteGraph(ell, m, edges)
+            except ValueError:
+                continue
+            if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
+                continue
+            if saturating_count(cand) > 0:
+                instances.append((cand, ell))
+                got += 1
+    return instances

@@ -6,17 +6,17 @@ the criteria that explicitly cover them.
 """
 
 import itertools
+import random
 
 from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, Enumeration,
                         Graph, bound_report, complete_bipartite, cycle_graph,
                         disjoint_union, inequality_chain_audit, kdd_profile,
-                        log2_int, matching_marginals, matching_profile,
-                        matching_profile_bruteforce, random_bipartite, random_graph,
+                        log2_int, matching_marginals, matching_profile, random_graph,
                         random_regular, rk_formula_audit, run_campaign,
-                        thm_dregular_bound, thm_general_bound,
-                        tiny_bipartite_catalog, umc_extremal_main_term,
+                        thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                         verify_fibers, zx_distribution_audit)
-from oracles import cycle_profile, kdd_count
+from oracles import (cycle_profile, kdd_count, matching_profile_bruteforce,
+                     tiny_bipartite_catalog)
 
 TOL = 1e-9
 
@@ -72,6 +72,13 @@ def test_criterion_2_closed_forms():
     _report("criterion 2: cycle and K_{d,d} closed forms", failures)
 
 
+def _random_bipartite(size_x: int, size_y: int, p: float, seed) -> BipartiteGraph:
+    """Seeded bipartite analogue of G(n, p)."""
+    rng = random.Random(seed)
+    edges = [(x, y) for x in range(size_x) for y in range(size_y) if rng.random() < p]
+    return BipartiteGraph(size_x, size_y, edges)
+
+
 def _bound_corpus():
     """(graph-or-bipartite, ell) pairs plus tags for the regular subset."""
     items = []
@@ -97,7 +104,7 @@ def _bound_corpus():
             items.append((bip, ell))
     for i in range(60):
         sx, sy = ((2, 4), (4, 5), (3, 5), (4, 4), (3, 6))[i % 5]
-        bip = random_bipartite(sx, sy, 0.6, seed=6000 + i)
+        bip = _random_bipartite(sx, sy, 0.6, seed=6000 + i)
         if min(bip.degrees_x) < 1:
             continue
         for ell in range(min(sx, sy) + 1):

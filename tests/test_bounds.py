@@ -9,12 +9,12 @@ from matchbound import (BipartiteGraph, Graph, binary_entropy, bound_report,
                         bregman_bound, cgt_bound, complete_bipartite, cycle_graph,
                         disjoint_union, elementary_symmetric,
                         elementary_symmetric_log, genminc_bound, kdd_profile,
-                        log2_int, log_ratio, matching_profile,
-                        matching_profile_bruteforce, phi_wild, psi, random_regular,
-                        reports_to_csv, thm_bipartite_bound, thm_dregular_bound,
-                        thm_general_bound, umc_extremal_main_term, wild_bound)
+                        log2_int, log_ratio, matching_profile, phi_wild, psi,
+                        random_regular, reports_to_csv, thm_bipartite_bound,
+                        thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
+                        wild_bound)
 from matchbound.bounds import _psi_loggamma
-from oracles import elementary_symmetric_by_subsets
+from oracles import elementary_symmetric_by_subsets, matching_profile_bruteforce
 
 LOG2E = math.log2(math.e)
 MARGINAL_EXAMPLE = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])

@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import json
 import os
@@ -196,6 +197,18 @@ class TestExitCodes:
         path.write_text("2 1\n0 0\n")
         assert main(["count", "--graph", str(path)]) == 1
 
+    def test_not_utf8(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe3 3\n")
+        assert main(["count", "--graph", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path} is not UTF-8 text\n")
+        # stdin decodes strictly, or (in the C locale) to lone surrogates
+        for errors in ("strict", "surrogateescape"):
+            stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe3 3\n"), "utf-8", errors)
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert main(["count", "--graph", "-"]) == 1
+            assert capsys.readouterr() == ("", "error: stdin is not UTF-8 text\n")
+
     def test_beyond_64_vertices(self, tmp_path, capsys):
         big = tmp_path / "big.edges"
         big.write_text("70 1\n0 1\n")
@@ -243,9 +256,12 @@ class TestExitCodes:
                      "--samples", "1", "--seed", "0"]) == 1
 
     def test_state_cap_env_not_an_integer(self, c6_file, monkeypatch, capsys):
-        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "abc")
-        assert main(["count", "--graph", c6_file]) == 1
-        assert "MATCHBOUND_STATE_CAP" in capsys.readouterr().err
+        # neither a non-integer nor a cap below one state is a cap
+        for value in ("abc", "0", "-3"):
+            monkeypatch.setenv("MATCHBOUND_STATE_CAP", value)
+            assert main(["count", "--graph", c6_file]) == 1
+            err = capsys.readouterr().err
+            assert "MATCHBOUND_STATE_CAP" in err and repr(value) in err
 
     def test_campaign_negative_samples(self, capsys):
         assert main(["campaign", "--conjecture", "umc", "--d", "3", "--N", "12",

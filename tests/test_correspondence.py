@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -7,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (CapExceeded, Graph, complete_bipartite, correspondence,
-                        cycle_graph, disjoint_union, enumerate_matchings,
-                        multiset_union_classify, parse_graph6, project_cover_matching,
+                        cycle_graph, disjoint_union, enumerate_matchings, parse_graph6,
                         random_graph, verify_fibers)
 from oracles import classify_multigraph, count_pair_decompositions
 
@@ -18,46 +18,49 @@ TWO_TRIANGLES = disjoint_union([cycle_graph(3), cycle_graph(3)])
 GOLDEN = json.loads((Path(__file__).parent / "data" / "fiber_reports.json").read_text())
 
 
+def union_items(*matchings):
+    """The sorted ((u, v), multiplicity) items of the multiset union of edge
+    lists: two matchings of a graph, or the (x, y) pairs of one double-cover
+    matching, whose image {x, y} is counted the same way."""
+    return sorted(Counter((min(u, v), max(u, v)) for m in matchings for u, v in m).items())
+
+
+def pair_fiber(items):
+    """The pair-fiber law for one pattern: zero unless it is valid."""
+    valid, comps, odd_paths, odd_cycle = correspondence._classify(items)
+    return correspondence._pair_fiber(comps, odd_paths, odd_cycle) if valid else 0
+
+
 class TestUnionClassify:
     def test_repeated_edge_is_two_cycle(self):
-        pat = multiset_union_classify([(0, 1)], [(0, 1)], n=2)
-        assert pat.edges == (((0, 1), 2),)
-        assert pat.non_two_cycle_components == 0
-        assert not pat.has_odd_cycle and pat.valid
+        items = union_items([(0, 1)], [(0, 1)])
+        assert items == [((0, 1), 2)]
+        assert correspondence._classify(items) == (True, 0, 0, False)
 
     def test_c4_cross_pair(self):
-        pat = multiset_union_classify([(0, 1), (2, 3)], [(1, 2), (3, 0)],
-                                      graph=cycle_graph(4))
-        assert pat.non_two_cycle_components == 1
-        assert not pat.has_odd_cycle
-        assert count_pair_decompositions(pat, 2) == 2
+        items = union_items([(0, 1), (2, 3)], [(1, 2), (3, 0)])
+        assert correspondence._classify(items) == (True, 1, 0, False)
+        assert count_pair_decompositions(items, 2) == 2
 
     def test_shared_endpoint_path(self):
-        pat = multiset_union_classify([(0, 1)], [(1, 2)], n=3)
-        assert pat.non_two_cycle_components == 1
-        assert pat.odd_path_components == 0  # a 2-edge path
+        # a 2-edge path: one component, no odd path
+        assert correspondence._classify(union_items([(0, 1)], [(1, 2)])) == \
+            (True, 1, 0, False)
 
     def test_matching_pairs_never_make_odd_cycles(self):
         for seed in range(15):
             g = random_graph(8, 0.4, seed)
             matchings = list(enumerate_matchings(g, 2))
             for m1, m2 in product(matchings[:12], repeat=2):
-                pat = multiset_union_classify(m1, m2, graph=g)
-                assert pat.valid and not pat.has_odd_cycle
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            multiset_union_classify([(0, 1), (1, 2)], [(0, 1), (2, 3)], n=4)
-        with pytest.raises(ValueError, match="size"):
-            multiset_union_classify([(0, 1)], [(0, 1), (2, 3)], n=4)
-        with pytest.raises(ValueError, match="graph edge"):
-            multiset_union_classify([(0, 2)], [(0, 1)], graph=cycle_graph(4))
+                valid, _comps, _odd_paths, odd_cycle = \
+                    correspondence._classify(union_items(m1, m2))
+                assert valid and not odd_cycle
 
     def test_component_count_definition(self):
         # independent recount: paths + cycles of length >= 4 + odd cycles
-        def recount(pattern):
+        def recount(items):
             adj = {}
-            for (u, v), mult in pattern.edges:
+            for (u, v), mult in items:
                 adj.setdefault(u, []).append(v)
                 adj.setdefault(v, []).append(u)
             seen = set()
@@ -74,7 +77,7 @@ class TestUnionClassify:
                             comp.add(w)
                             stack.append(w)
                 seen |= comp
-                mult_edges = sum(m for (u, v), m in pattern.edges if u in comp)
+                mult_edges = sum(m for (u, v), m in items if u in comp)
                 if mult_edges == len(comp) - 1:
                     paths += 1
                 elif len(comp) == 2:
@@ -89,23 +92,20 @@ class TestUnionClassify:
             g = random_graph(8, 0.4, seed)
             matchings = list(enumerate_matchings(g, 2))
             for m1, m2 in product(matchings[:10], repeat=2):
-                pat = multiset_union_classify(m1, m2, graph=g)
-                assert pat.non_two_cycle_components == recount(pat)
-        pat = project_cover_matching([(0, 1), (1, 2), (2, 0)], cycle_graph(3))
-        assert pat.non_two_cycle_components == recount(pat) == 1
+                items = union_items(m1, m2)
+                assert correspondence._classify(items)[1] == recount(items)
+        items = union_items([(0, 1), (1, 2), (2, 0)])  # a triangle's cover image
+        assert correspondence._classify(items)[1] == recount(items) == 1
 
 
 class TestPairFiberLaw:
     def test_unbalanced_split(self):
         # two disjoint single edges: the 2^c formula (4) overcounts; the
         # balanced-split law gives the true fiber of 2 ordered pairs
-        g = Graph(4, [(0, 1), (2, 3)])
-        pat = multiset_union_classify([(0, 1)], [(2, 3)], graph=g)
-        assert pat.non_two_cycle_components == 2
-        assert pat.odd_path_components == 2
-        assert pat.pair_fiber_size() == 2
-        assert pat.cover_fiber_size() == 4
-        assert count_pair_decompositions(pat, 1) == 2
+        items = union_items([(0, 1)], [(2, 3)])
+        assert correspondence._classify(items) == (True, 2, 2, False)
+        assert pair_fiber(items) == 2
+        assert count_pair_decompositions(items, 1) == 2
 
     def test_all_pairs_cross_check(self):
         # brute-force the pair map and compare each fiber with both the
@@ -113,50 +113,36 @@ class TestPairFiberLaw:
         for seed, ell in ((0, 1), (1, 2), (2, 2), (3, 3)):
             g = random_graph(7, 0.45, seed)
             matchings = list(enumerate_matchings(g, ell))
-            fibers = {}
-            for m1, m2 in product(matchings, repeat=2):
-                pat = multiset_union_classify(m1, m2, graph=g)
-                fibers.setdefault(pat.edges, [0, pat])[0] += 1
-            for count, pat in fibers.values():
-                assert count == pat.pair_fiber_size()
-                assert count == count_pair_decompositions(pat, ell)
+            fibers = Counter(tuple(union_items(m1, m2))
+                             for m1, m2 in product(matchings, repeat=2))
+            for items, count in fibers.items():
+                assert count == pair_fiber(items)
+                assert count == count_pair_decompositions(items, ell)
 
 
 class TestProjection:
     def test_two_cycle(self):
-        pat = project_cover_matching([(0, 1), (1, 0)], Graph(2, [(0, 1)]))
-        assert pat.edges == (((0, 1), 2),)
-        assert pat.non_two_cycle_components == 0
+        items = union_items([(0, 1), (1, 0)])
+        assert items == [((0, 1), 2)]
+        assert correspondence._classify(items)[1] == 0
 
     def test_triangle_two_matchings_give_paths(self):
-        g = cycle_graph(3)
         cover_graph = Graph(6, [(u, 3 + y) for u, y in
                                 ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))])
         distinct_image = 0
         for match in enumerate_matchings(cover_graph, 2):
-            pairs = [(u, v - 3) for u, v in match]
-            pat = project_cover_matching(pairs, g)
-            assert pat.valid
-            if len(pat.edges) == 2:
-                assert pat.non_two_cycle_components == 1  # 2-edge path
+            items = union_items([(u, v - 3) for u, v in match])
+            valid, comps, _odd_paths, _odd_cycle = correspondence._classify(items)
+            assert valid
+            if len(items) == 2:
+                assert comps == 1  # 2-edge path
                 distinct_image += 1
         assert distinct_image > 0
 
     def test_odd_cycle_projection(self):
-        pat = project_cover_matching([(0, 1), (1, 2), (2, 0)], cycle_graph(3))
-        assert pat.has_odd_cycle
-        assert pat.non_two_cycle_components == 1
-        assert pat.pair_fiber_size() == 0
-        # same triangle image inside a larger host: one odd cycle, still valid
-        pat2 = project_cover_matching([(0, 1), (1, 2), (2, 0)], C3_PLUS_K2)
-        assert pat2.has_odd_cycle and pat2.valid
-
-    def test_validation(self):
-        g = cycle_graph(4)
-        with pytest.raises(ValueError, match="project"):
-            project_cover_matching([(0, 2)], g)
-        with pytest.raises(ValueError, match="disjoint"):
-            project_cover_matching([(0, 1), (0, 3)], g)
+        items = union_items([(0, 1), (1, 2), (2, 0)])
+        assert correspondence._classify(items) == (True, 1, 0, True)
+        assert pair_fiber(items) == 0
 
 
 class TestVerifyFibers:

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
                         cycle_graph, disjoint_union, enumerate_matchings,
-                        kdd_profile, matching_marginals,
-                        matching_profile, matching_profile_bruteforce,
-                        profile_convolution, profile_from_json, profile_to_json,
-                        random_graph, saturating_count, umc_extremal_profile)
+                        kdd_profile, matching_marginals, matching_profile,
+                        profile_convolution, profile_to_json, random_graph,
+                        saturating_count, umc_extremal_profile)
 from matchbound.campaigns import _sharp_family
-from oracles import cycle_profile, kdd_count, matchings_by_subsets
+from oracles import (cycle_profile, kdd_count, matching_profile_bruteforce,
+                     matchings_by_subsets)
 
 
 class TestMatchingProfile:
@@ -77,7 +77,7 @@ class TestBruteforce:
         assert matching_profile(Graph(3)) == [1, 0]
 
     def test_edge_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(AssertionError):
             matching_profile_bruteforce(complete_bipartite(5, 5).to_graph())
 
     def test_agrees_with_subset_enumeration(self):
@@ -181,7 +181,7 @@ class TestSerialization:
     def test_round_trip_preserves_precision(self):
         prof = kdd_profile(30)  # counts far beyond 2^64
         assert prof[30] > 1 << 100
-        assert profile_from_json(profile_to_json(prof)) == prof
+        assert [int(c) for c in json.loads(profile_to_json(prof))["counts"]] == prof
 
     def test_decimal_strings(self):
         doc = json.loads(profile_to_json([1, 6, 9, 2]))

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, Graph, complete_bipartite, cycle_graph,
                         disjoint_union, matching_marginals, matching_profile,
-                        matching_profile_bruteforce, parse_graph6, saturating_count,
-                        umc_extremal_profile)
+                        parse_graph6, saturating_count, umc_extremal_profile)
 from matchbound.counting import MaskProfiler
-from oracles import cycle_profile
+from oracles import cycle_profile, matching_profile_bruteforce
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "engine_profiles.json").read_text())
 LARGE = [e for e in GOLDEN["graphs"] if not e["name"].startswith("criterion-1")]

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from matchbound import (BipartiteGraph, CapExceeded, Graph, ParseError, as_bipartite,
                         bipartite_double_cover, complete_bipartite, cycle_graph,
                         disjoint_union, emit_bipartite, emit_edge_list, emit_graph6,
-                        make_umc_extremal, parse_bipartite, parse_edge_list,
-                        parse_graph6, random_graph, random_regular)
+                        matching_profile, parse_bipartite, parse_edge_list,
+                        parse_graph6, random_graph, random_regular,
+                        umc_extremal_profile)
 
 
 class TestEdgeListFormat:
@@ -168,6 +169,9 @@ class TestConstructions:
         assert b.num_edges == 9
         g = b.to_graph()
         assert g.n == 6 and g.is_regular() and g.degrees[0] == 3
+        # the constructor refuses an empty part
+        with pytest.raises(ValueError):
+            complete_bipartite(0, 3)
 
     def test_cycle(self):
         g = cycle_graph(6)
@@ -179,15 +183,18 @@ class TestConstructions:
         k2 = Graph(2, [(0, 1)])
         g = disjoint_union([k2, k2])
         assert g.n == 4 and g.edges == ((0, 1), (2, 3))
+        # the union of nothing has no vertex, which Graph refuses
+        with pytest.raises(ValueError):
+            disjoint_union([])
 
     def test_umc_extremal(self):
-        g = make_umc_extremal(4, 1)
-        assert g.n == 4 and g.edges == ((0, 1), (2, 3))
-        g = make_umc_extremal(12, 3)
-        assert g.n == 12 and g.num_edges == 18 and g.is_regular()
-        assert len({u // 6 for u, v in g.edges} | {v // 6 for u, v in g.edges}) == 2
-        with pytest.raises(ValueError):
-            make_umc_extremal(10, 3)
+        for n_vertices, d in ((4, 1), (12, 3), (16, 4)):
+            block = complete_bipartite(d, d).to_graph()
+            g = disjoint_union([block] * (n_vertices // (2 * d)))
+            assert g.n == n_vertices and g.is_regular() and g.degrees[0] == d
+            assert matching_profile(g) == umc_extremal_profile(n_vertices, d)
+        with pytest.raises(ValueError, match="must divide"):
+            umc_extremal_profile(10, 3)
 
     def test_graph_invariants(self):
         with pytest.raises(ValueError):

@@ -9,19 +9,79 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchbound import (BipartiteGraph, CapExceeded, Enumeration, complete_bipartite,
-                        emit_bipartite, gx_step_audit, inequality_chain_audit,
-                        matching_marginals, middle_step_audit, parse_bipartite,
-                        rk_formula_audit, step_refinement_audit, thm_bipartite_bound,
-                        tiny_bipartite_catalog, zx_distribution_audit)
+from matchbound import (BipartiteGraph, CapExceeded, Enumeration, binary_entropy,
+                        complete_bipartite, emit_bipartite, inequality_chain_audit,
+                        log_ratio, matching_marginals, parse_bipartite,
+                        rk_formula_audit, thm_bipartite_bound, zx_distribution_audit)
+from matchbound.bounds import LOG2E
 from matchbound.cli import main
-from matchbound.prooflab import TOL
-from oracles import order_walk
+from matchbound.counting import entropy_bits
+from matchbound.prooflab import TOL, _f, _table_term
+from oracles import order_walk, tiny_bipartite_catalog
 
 MARGINAL_EXAMPLE = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
 CATALOG = tiny_bipartite_catalog()
 # reports recorded from the enumeration that walked every (order, matching) pair
 GOLDEN = json.loads((Path(__file__).parent / "data" / "prooflab_reports.json").read_text())
+
+
+# individual proof steps, each summed as in its recorded repr
+
+def _g(t: float, d: int) -> float:
+    """t*[ _f(t) - log2(d*t) ], the per-edge term of the degree split."""
+    if t == 1.0:
+        return LOG2E - math.log2(d)
+    return t * _f(t) - t * math.log2(d * t)
+
+
+def step_refinement_audit(enum: Enumeration) -> list[dict]:
+    """Per-(x, y) refinement: the table value F is at most the midpoint sum
+    of U(j/(ell-1)), which is at most the closed concave form."""
+    ell = enum.ell
+    results = []
+    for x in range(ell):
+        _q, q_cond, r_full = enum.size_tables(x)
+        for y in range(enum.m):
+            p_xy = enum.p[x][y]
+            if not p_xy:
+                continue
+            f_xy = _table_term(q_cond[y], r_full, y)
+            a = float(enum.mu[y] - p_xy)
+            c = float(enum.nu[y] + p_xy)
+            if ell == 1:
+                midpoint = math.log2(c)
+            else:
+                midpoint = sum(math.log2(a * (j / (ell - 1)) + c)
+                               for j in range(ell)) / ell
+            endpoint = _f(c) - LOG2E
+            results.append({
+                "x": x, "y": y, "table": f_xy, "midpoint": midpoint,
+                "endpoint": endpoint,
+                "ok": f_xy <= midpoint + TOL and midpoint <= endpoint + TOL,
+            })
+    return results
+
+
+def gx_step_audit(enum: Enumeration) -> list[dict]:
+    """Per-x concavity step: the summed per-edge terms are at most
+    log2(d_x)/(d_x - 1)."""
+    degs = enum.b.degrees_x
+    results = []
+    for x in range(enum.ell):
+        lhs = sum(_g(float(enum.p[x][y]), degs[x])
+                  for y in range(enum.m) if enum.p[x][y])
+        rhs = log_ratio(degs[x])
+        results.append({"x": x, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + TOL})
+    return results
+
+
+def middle_step_audit(enum: Enumeration) -> dict:
+    """Concavity of t*log2(1/t) over the nu values against the aggregate."""
+    lhs = entropy_bits(enum.nu)
+    alpha_y = enum.ell / enum.m
+    alpha_term = 0.0 if alpha_y == 0 else alpha_y * math.log2(alpha_y)
+    rhs = enum.m * (binary_entropy(alpha_y) + alpha_term)
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + TOL}
 
 
 class TestSizeDistribution:
