@@ -53,6 +53,8 @@ def _read_graph(args, want):
                 text = fh.read()
     except UnicodeError:
         raise ParseError(f"{name} is not UTF-8 text") from None
+    except OSError as exc:
+        raise _UsageError(f"cannot read --graph {path}: {exc.strerror or exc}") from None
     if fmt is None:
         if path.endswith(".g6"):
             fmt = "g6"
@@ -80,8 +82,11 @@ def _read_graph(args, want):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

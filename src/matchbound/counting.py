@@ -9,8 +9,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
+from operator import itemgetter, mul
 
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, Graph
@@ -212,15 +217,32 @@ def frac_str(fr: Fraction) -> str:
 class MarginalTable:
     """Exact edge marginals of the uniform random X-saturating matching.
 
-    p[x][y] is the probability the matching pairs x with y; mu[y] the
-    probability y is covered; h_edge[x] the entropy (bits) of x's partner.
+    hits[x][y] counts the X-saturating matchings that pair x with y, out of
+    total. p[x][y] = hits[x][y] / total, mu[y] is the probability y is covered,
+    nu[y] = 1 - mu[y], and h_edge[x] is the entropy (bits) of x's partner.
+    The rationals are built when first read.
     """
 
     ell: int
-    p: list[list[Fraction]]
-    mu: list[Fraction]
-    nu: list[Fraction]
-    h_edge: list[float]
+    hits: list[list[int]]
+    total: int
+
+    @cached_property
+    def p(self) -> list[list[Fraction]]:
+        return [[Fraction(c, self.total) for c in row] for row in self.hits]
+
+    @cached_property
+    def mu(self) -> list[Fraction]:
+        return [Fraction(sum(col), self.total) for col in zip(*self.hits)]
+
+    @cached_property
+    def nu(self) -> list[Fraction]:
+        return [1 - m for m in self.mu]
+
+    @cached_property
+    def h_edge(self) -> list[float]:
+        # c / total is correctly rounded, so it is float(Fraction(c, total))
+        return [entropy_bits(c / self.total for c in row) for row in self.hits]
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,48 +265,67 @@ def entropy_bits(probs) -> float:
     return h
 
 
-def _column_tables(cols, full: int):
-    """Yield T_0, ..., T_k for the Y-columns cols (each a tuple of X-vertex
-    bits): T_j maps a used-X mask A to the number of ways columns 0..j-1 are
-    each unused or matched to a distinct x in A, covering A exactly.
+# The column DP. Table T_j counts, for each used-X set A, the ways columns
+# 0..j-1 are each unused or matched to a distinct x in A, covering A exactly.
+# T_j is one int with 2^|X| slots of W bits, slot A at bits [A*W, (A+1)*W).
+# No entry or hit count exceeds prod_x max(d_x, 1) < 2^W, so slots never
+# carry into each other, and a column with X-neighbours xs adds to T, for
+# each x in xs, the slots lacking bit x shifted up by 2^x slots.
 
-    A state is dropped once an X-vertex outside it has no neighbour among the
-    remaining columns, so at most 2^|X| states live in one table; each table
-    is checked against the state cap.
-    """
-    cap = _state_cap()
-    live = [0] * (len(cols) + 1)  # live[j]: X-vertices with a neighbour in cols[j:]
-    for j in range(len(cols) - 1, -1, -1):
-        live[j] = live[j + 1] | sum(cols[j])
-    table = {0: 1}
-    yield table
-    for j, xbits in enumerate(cols, 1):
-        alive = live[j]
-        new: dict[int, int] = {}
-        get = new.get
-        for used, cnt in table.items():
-            if used | alive == full:
-                new[used] = get(used, 0) + cnt
-            for bit in xbits:
-                if not used & bit:
-                    k = used | bit
-                    if k | alive == full:
-                        new[k] = get(k, 0) + cnt
-        if len(new) > cap:
-            raise CapExceeded(
-                f"column state cap of {cap} exceeded: {len(new)} states at "
-                f"column {j} of {len(cols)}; raise it with {STATE_CAP_ENV}")
-        table = new
-        yield table
+@lru_cache(maxsize=4)
+def _lacking(size_x: int, width: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Per X-vertex x, the table mask of the slots whose index lacks bit x,
+    and two getters that take from a list of slots, as sequences in index
+    order, the slots lacking x and the slots having it."""
+    slots, masks, pickers = list(range(1 << size_x)), [], []
+    for x in range(size_x):
+        run = width << x >> 3  # bytes: 2^x slots lack x, then 2^x slots have it
+        block = b"\xff" * run + bytes(run)
+        masks.append(int.from_bytes(block * (1 << (size_x - x - 1)), "little"))
+        lack = [i for i in slots if not i >> x & 1]
+        pickers.append((_getter(lack), _getter([slots[i + (1 << x)] for i in lack])))
+    return tuple(masks), tuple(pickers)
+
+
+def _getter(idx: list[int]):
+    # itemgetter of a single index would return the bare item
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+
+
+def _columns(b: BipartiteGraph):
+    """Check the 2^|X| slots of a table against the state cap; return the
+    slot width W, the getters of _lacking, and the step that adds a column
+    to a table, or with down=True to a table in reversed slot order."""
+    cap, states = _state_cap(), 1 << b.size_x
+    if states > cap:
+        raise CapExceeded(
+            f"column state cap of {cap} exceeded: {states} states at "
+            f"column 0 of {b.size_y}; raise it with {STATE_CAP_ENV}")
+    width = 64 * ((math.prod(max(d, 1) for d in b.degrees_x).bit_length() + 63) // 64)
+    lacking, pickers = _lacking(b.size_x, width)
+
+    def step(table: int, xs, down: bool = False) -> int:
+        new = table
+        for x in xs:
+            shift = width << x
+            new += (table >> shift) & lacking[x] if down else (table & lacking[x]) << shift
+        return new
+    return width, pickers, step
+
+
+def _limbs(table: int, nbytes: int, limbs: int) -> list[list[int]]:
+    """The slots of a table as 64-bit words, one list per limb of a slot."""
+    words = array("Q", table.to_bytes(nbytes, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return [words[a::limbs].tolist() for a in range(limbs)]
 
 
 def saturating_count(b: BipartiteGraph) -> int:
     """Number of X-saturating matchings of b (0 when there is none), from a
-    DP over the Y-columns keyed by used-X masks; builds no engine."""
-    full = (1 << b.size_x) - 1
-    for table in _column_tables([tuple(1 << x for x in xs) for xs in b.adj_y], full):
-        pass
-    return table.get(full, 0)
+    DP over the Y-columns on packed tables; builds no engine."""
+    width, _pickers, step = _columns(b)
+    return reduce(step, b.adj_y, 1) >> width * ((1 << b.size_x) - 1)  # slot A = X
 
 
 def matching_marginals(b: BipartiteGraph) -> MarginalTable:
@@ -298,27 +339,23 @@ def matching_marginals(b: BipartiteGraph) -> MarginalTable:
     ell = b.size_x
     if ell > b.size_y:
         raise ValueError(f"need ell <= size_y (got {ell} > {b.size_y})")
+    width, pickers, step = _columns(b)
     full = (1 << ell) - 1
-    cols = [tuple(1 << x for x in xs) for xs in b.adj_y]
-    forward = list(_column_tables(cols, full))
-    total = forward[-1].get(full, 0)
+    forward = list(accumulate(b.adj_y, step, initial=1))
+    total = forward[-1] >> width * full
     if total == 0:
         raise ValueError("graph has no X-saturating matching")
-    p = [[Fraction(0)] * b.size_y for _ in range(ell)]
-    mu = [Fraction(0)] * b.size_y  # mu[y] = sum of p[x][y] over x, summed as counts
-    # the backward tables come G_M, G_{M-1}, ...: G_{j+1} meets column j
-    for j, after in zip(range(b.size_y - 1, -1, -1), _column_tables(cols[::-1], full)):
-        xs, bits = b.adj_y[j], cols[j]
-        hits = [0] * len(xs)
-        get = after.get
-        for used, cnt in forward[j].items():
-            rest = full ^ used
-            for i, bit in enumerate(bits):
-                if rest & bit:
-                    hits[i] += cnt * get(rest ^ bit, 0)
-        for x, h in zip(xs, hits):
-            p[x][j] = Fraction(h, total)
-        mu[j] = Fraction(sum(hits), total)
-    nu = [1 - m for m in mu]
-    return MarginalTable(ell=ell, p=p, mu=mu, nu=nu,
-                         h_edge=[entropy_bits(row) for row in p])
+    nbytes, limbs = width << ell >> 3, width >> 6
+    hits = [[0] * b.size_y for _ in range(ell)]
+    after = 1 << width * full  # slot i holds G(X - i), and G(empty) = 1
+    for j in range(b.size_y - 1, -1, -1):
+        xs = b.adj_y[j]
+        f, g = _limbs(forward[j], nbytes, limbs), _limbs(after, nbytes, limbs)
+        for a, fa in enumerate(f):
+            for c, gc in enumerate(g):
+                for x in xs:
+                    # pair F(A) for A lacking x with G(X - A - x), held at slot A + 2^x
+                    lack, has = pickers[x]
+                    hits[x][j] += sum(map(mul, lack(fa), has(gc))) << 64 * (a + c)
+        after = step(after, xs, down=True)
+    return MarginalTable(ell=ell, hits=hits, total=total)

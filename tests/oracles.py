@@ -3,7 +3,8 @@ and the catalog of tiny bipartite instances the proof-lab tests run on.
 
 These deliberately avoid the library's code paths: closed forms, explicit
 enumerations, and (for graph6) networkx as an external reference encoder.
-The brute-force profile shares only the library's matching enumerator.
+The brute-force profile shares only the library's matching enumerator, and
+the dict-keyed column DP is the reference for the library's packed one.
 """
 
 from __future__ import annotations
@@ -70,6 +71,63 @@ def matchings_by_subsets(edges, size: int) -> list[tuple]:
         if ok:
             out.append(subset)
     return out
+
+
+def column_tables(cols, full: int):
+    """Yield T_0, ..., T_k for the Y-columns cols (each a tuple of X-vertex
+    bits): T_j maps a used-X mask A to the number of ways columns 0..j-1 are
+    each unused or matched to a distinct x in A, covering A exactly.
+
+    A state is dropped once an X-vertex outside it has no neighbour among the
+    remaining columns. The dict-keyed column DP the library used before its
+    packed tables, kept uncapped as their reference.
+    """
+    live = [0] * (len(cols) + 1)  # live[j]: X-vertices with a neighbour in cols[j:]
+    for j in range(len(cols) - 1, -1, -1):
+        live[j] = live[j + 1] | sum(cols[j])
+    table = {0: 1}
+    yield table
+    for j, xbits in enumerate(cols, 1):
+        alive = live[j]
+        new: dict[int, int] = {}
+        get = new.get
+        for used, cnt in table.items():
+            if used | alive == full:
+                new[used] = get(used, 0) + cnt
+            for bit in xbits:
+                if not used & bit:
+                    k = used | bit
+                    if k | alive == full:
+                        new[k] = get(k, 0) + cnt
+        table = new
+        yield table
+
+
+def saturating_count_by_dicts(b: BipartiteGraph) -> int:
+    """The number of X-saturating matchings from column_tables."""
+    full = (1 << b.size_x) - 1
+    for table in column_tables([tuple(1 << x for x in xs) for xs in b.adj_y], full):
+        pass
+    return table.get(full, 0)
+
+
+def marginal_hits_by_dicts(b: BipartiteGraph) -> tuple[list[list[int]], int]:
+    """(hits, total) from column_tables: hits[x][y] counts the X-saturating
+    matchings that use edge (x, y), as sum over A of F_y(A) * G_{y+1}(X - A - x)
+    with forward tables F and backward tables G; total counts them all."""
+    full = (1 << b.size_x) - 1
+    cols = [tuple(1 << x for x in xs) for xs in b.adj_y]
+    forward = list(column_tables(cols, full))
+    hits = [[0] * b.size_y for _ in range(b.size_x)]
+    # the backward tables come G_M, G_{M-1}, ...: G_{j+1} meets column j
+    for j, after in zip(range(b.size_y - 1, -1, -1), column_tables(cols[::-1], full)):
+        get = after.get
+        for used, cnt in forward[j].items():
+            rest = full ^ used
+            for x in b.adj_y[j]:
+                if rest >> x & 1:
+                    hits[x][j] += cnt * get(rest ^ 1 << x, 0)
+    return hits, forward[-1].get(full, 0)
 
 
 def classify_multigraph(items) -> tuple[bool, int, int, bool]:

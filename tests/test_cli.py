@@ -192,6 +192,23 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["count", "--graph", "/nonexistent/g.edges"]) == 1
 
+    def test_missing_file_names_flag_and_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "g.edges"
+        assert main(["count", "--graph", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot read --graph {path}: No such file or directory\n")
+
+    def test_directory_as_graph(self, tmp_path, capsys):
+        assert main(["count", "--graph", str(tmp_path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot read --graph {tmp_path}: Is a directory\n")
+
+    def test_out_in_missing_directory(self, c6_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.txt"
+        assert main(["count", "--graph", c6_file, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write --out {out}: No such file or directory\n")
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("2 1\n0 0\n")

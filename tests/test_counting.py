@@ -3,19 +3,25 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
                         cycle_graph, disjoint_union, enumerate_matchings,
                         kdd_profile, matching_marginals, matching_profile,
-                        profile_convolution, profile_to_json, random_graph,
-                        saturating_count, umc_extremal_profile)
+                        parse_bipartite, profile_convolution, profile_to_json,
+                        random_graph, saturating_count, umc_extremal_profile)
 from matchbound.campaigns import _sharp_family
-from oracles import (cycle_profile, kdd_count, matching_profile_bruteforce,
-                     matchings_by_subsets)
+from matchbound.cli import main
+from oracles import (cycle_profile, kdd_count, marginal_hits_by_dicts,
+                     matching_profile_bruteforce, matchings_by_subsets,
+                     saturating_count_by_dicts)
+
+# campaign reports and marginals recorded from the dict-keyed column DP
+CORPUS = json.loads((Path(__file__).parent / "data" / "column_dp_reports.json").read_text())
 
 
 class TestMatchingProfile:
@@ -275,6 +281,105 @@ class TestColumnDP:
             matching_marginals(b)
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert saturating_count(b) == math.factorial(6)
+
+
+@st.composite
+def column_instances(draw):
+    """Small bipartite graphs of any shape, |X| > |Y| and isolated vertices included."""
+    size_x, size_y = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    pairs = [(x, y) for x in range(size_x) for y in range(size_y)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return BipartiteGraph(size_x, size_y, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def wide_instances(draw):
+    """|X| = 9 against about 300 columns with a few edges missing: the slot
+    values pass 2^64, so every table needs 128-bit slots of two limbs."""
+    size_y = draw(st.integers(290, 310))
+    missing = set(draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, size_y - 1)),
+                                max_size=40)))
+    return BipartiteGraph(9, size_y, [(x, y) for x in range(9) for y in range(size_y)
+                                      if (x, y) not in missing])
+
+
+class TestColumnDPOracle:
+    """The packed column DP against the dict-keyed one kept in oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_instances())
+    def test_small(self, b):
+        assert saturating_count(b) == saturating_count_by_dicts(b)
+        if b.size_x > b.size_y or not saturating_count(b):
+            return
+        hits, total = marginal_hits_by_dicts(b)
+        table = matching_marginals(b)
+        assert (table.hits, table.total) == (hits, total)
+
+    # shrinking a failing 300-column instance would take minutes
+    @settings(max_examples=3, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(wide_instances())
+    def test_two_limb_slots(self, b):
+        table = matching_marginals(b)
+        assert table.total >= 1 << 70
+        assert saturating_count(b) == table.total
+        assert (table.hits, table.total) == marginal_hits_by_dicts(b)
+
+    @pytest.mark.parametrize("ell, m", [(1, 1), (3, 5), (5, 5)])
+    def test_cap_boundary(self, ell, m, monkeypatch):
+        b = complete_bipartite(ell, m)
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", str(1 << ell))
+        assert saturating_count(b) == math.perm(m, ell)
+        assert matching_marginals(b).total == math.perm(m, ell)
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", str((1 << ell) - 1))
+        message = (f"column state cap of {(1 << ell) - 1} exceeded: {1 << ell} states "
+                   f"at column 0 of {m}; raise it with MATCHBOUND_STATE_CAP")
+        for count in (saturating_count, matching_marginals):
+            with pytest.raises(CapExceeded) as info:
+                count(b)
+            assert str(info.value) == message
+
+    def test_rationals_read_twice(self):
+        b = BipartiteGraph(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (0, 3)])
+        table = matching_marginals(b)
+        first = (table.p, table.mu, table.nu, table.h_edge)
+        assert (table.p, table.mu, table.nu, table.h_edge) == first
+        assert table.p[0][0] == Fraction(table.hits[0][0], table.total)
+        read_first = matching_marginals(b)
+        _ = read_first.p
+        assert read_first.to_json_dict() == matching_marginals(b).to_json_dict()
+        assert json.dumps(read_first.to_json_dict()) == json.dumps(table.to_json_dict())
+
+
+class TestRecordedColumnDP:
+    """Reports recorded from the dict-keyed column DP, replayed through the CLI."""
+
+    @pytest.mark.parametrize("entry", CORPUS["campaigns"],
+                             ids=lambda e: " ".join(e["argv"][2:]))
+    def test_campaign(self, entry, capsys):
+        assert main(entry["argv"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("runtimeSeconds")
+        assert json.dumps(doc, indent=2) == entry["report"]
+
+    @pytest.mark.parametrize("entry", CORPUS["marginals"],
+                             ids=lambda e: e["bipartite"].split("\n")[0])
+    def test_marginals(self, entry, tmp_path, capsys):
+        b = parse_bipartite(entry["bipartite"])
+        assert str(saturating_count(b)) == entry["count"]
+        path = tmp_path / "g.bip"
+        path.write_text(entry["bipartite"])
+        code = main(["marginals", "--graph", str(path), "--ell", str(b.size_x)])
+        assert code == (0 if entry["stdout"] else 1)  # 1: no X-saturating matching
+        assert capsys.readouterr().out == entry["stdout"]
+
+    def test_corpus_coverage(self):
+        assert len(CORPUS["campaigns"]) == 30
+        assert len(CORPUS["marginals"]) == 40
+        widths = [math.prod(parse_bipartite(e["bipartite"]).degrees_x).bit_length()
+                  for e in CORPUS["marginals"]]
+        assert max(widths) > 64  # one instance needs two-limb slots
 
 
 class TestSubsetDecomposition:
