@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -309,11 +310,11 @@ def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
 
     def add(name: str, applicable: bool, compute, conjectural: bool = False):
         entry = BoundEntry(name=name, applicable=applicable, conjectural=conjectural)
+        report.entries.append(entry)
         if applicable:
             entry.value_bits = compute()
             if exact_log2 is not None:
                 entry.slack_bits = entry.value_bits - exact_log2
-        report.entries.append(entry)
 
     no_isolated = not g.has_isolated_vertex()
     regular = no_isolated and g.is_regular()
@@ -335,7 +336,8 @@ def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
     add("bipartite", dx_ok and 1 <= ell <= min(bip.size_x, bip.size_y),
         lambda: thm_bipartite_bound(bip, ell))
     add("genminc", gen_ok, lambda: genminc_bound(gen), conjectural=True)
-    add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
-        lambda: wild_bound(gen, phi_interp), conjectural=True)
+    with suppress(CapExceeded):  # a refused column DP leaves the row without a value
+        add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
+            lambda: wild_bound(gen, phi_interp), conjectural=True)
 
     return report

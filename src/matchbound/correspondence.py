@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product, starmap
+from operator import add
 
 from .counting import enumerate_matchings, matching_profile
 from .errors import CapExceeded
@@ -170,10 +172,10 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "") -> AuditReport:
     index = {e: i for i, e in enumerate(g.edges)}
     cover_labels = [labels[index[(u, v - n) if u < v - n else (v - n, u)]]
                     for u, v in gk.edges]
-    fibers = Counter(map(sum, enumerate_matchings(gk, 2 * ell, cover_labels)))
+    fibers = Counter(enumerate_matchings(gk, 2 * ell, cover_labels, 0))
     measured = count * count <= COVER_CAP  # by (e), unless the audit fails
-    keys = list(map(sum, enumerate_matchings(g, ell, labels))) if measured else []
-    pair_fibers = Counter(a + b for a in keys for b in keys)
+    keys = list(enumerate_matchings(g, ell, labels, 0)) if measured else []
+    pair_fibers = Counter(starmap(add, product(keys, repeat=2)))
     digits = {}  # a key's lowest set bit -> its (edge, multiplicity) item
     for i, e in enumerate(g.edges):
         digits[labels[i]] = (e, 1)
@@ -199,9 +201,7 @@ def verify_fibers(g: Graph, ell: int, graph_id: str = "") -> AuditReport:
             offenders.append({"check": check, "pattern": pattern, **extra})
 
     ok_a = ok_b = True
-    sum_even = 0
-    sum_even_claimed = 0
-    sum_all = 0
+    sum_even = sum_even_claimed = sum_all = 0
     for key in {**fibers, **pair_fibers}:  # cover-reached patterns first
         classified = _classify(items(key))
         valid, comps, odd_paths, odd_cycle = classified

@@ -64,32 +64,35 @@ class MaskProfiler:
         self.memo: dict[int, int] = {0: 1}
         # per step: (slot bit of v or 0, slot bits of its placed neighbours, keep mask)
         self.plan = []
-        left = [len(a) for a in adj]  # unplaced neighbours of each vertex
-        placed = [False] * g.n
+        n, deg = g.n, [len(a) for a in adj]
+        left = deg[:]  # unplaced neighbours of each vertex
+        rest = [sum(a) for a in adj]  # their index sum: the last one, once left is 1
+        closes = [0] * n  # placed neighbours whose last unplaced neighbour it is
+        placed = [False] * n
         slot: dict[int, int] = {}  # frontier vertex -> its slot bit
-        used = start = 0
-
-        def rank(v):  # net frontier growth, most placed neighbours, index
-            closes = sum(1 for u in adj[v] if left[u] == 1 and u in slot)
-            return ((left[v] > 0) - closes, left[v] - len(adj[v]), v)
-
-        for _ in range(g.n):
-            cands = {u for f in slot for u in adj[f] if not placed[u]}
-            if cands:
-                v = min(cands, key=rank)
+        cands: set[int] = set()  # unplaced neighbours of the frontier
+        used = 0
+        for _ in range(n):
+            if cands:  # net frontier growth, most placed neighbours, index, as one int
+                v = min([(((left[c] > 0) - closes[c]) * n + left[c] - deg[c]) * n + c
+                         for c in cands]) % n
+                cands.remove(v)
             else:
-                while placed[start]:
-                    start += 1
-                v = start
+                v = placed.index(False)
             placed[v] = True
-            ubits = []
-            done = 0
+            ubits, done = [], 0
             for u in adj[v]:
                 left[u] -= 1
+                rest[u] -= v
                 if u in slot:
                     ubits.append(slot[u])
-                    if not left[u]:
+                    if left[u] == 1:
+                        closes[rest[u]] += 1
+                    elif not left[u]:
                         done |= slot.pop(u)
+                else:
+                    cands.add(u)
+                    closes[u] += left[v] == 1  # u is v's last unplaced neighbour
             used &= ~done
             vbit = 0
             if left[v]:
@@ -102,12 +105,15 @@ class MaskProfiler:
         shift, cap, n = self.shift, self.cap, self.n
         table = self.memo = {0: 1}
         for i, (vbit, ubits, keep) in enumerate(self.plan):
-            new: dict[int, int] = {}
+            # when v forgets no vertex, its unmatched move merges no states
+            new = {key | vbit: val for key, val in table.items()} if keep == -1 else {}
             get = new.get
-            for key, val in table.items():
-                k = (key & keep) | vbit
-                new[k] = get(k, 0) + val
-                for ub in ubits:
+            if keep != -1:
+                for key, val in table.items():
+                    k = (key & keep) | vbit
+                    new[k] = get(k, 0) + val
+            for ub in ubits:
+                for key, val in table.items():
                     if key & ub:
                         k = (key ^ ub) & keep
                         new[k] = get(k, 0) + (val << shift)
@@ -127,10 +133,11 @@ def matching_profile(g: Graph) -> list[int]:
     return MaskProfiler(g).profile()
 
 
-def enumerate_matchings(g: Graph, size: int, labels=None):
+def enumerate_matchings(g: Graph, size: int, labels=None, start=()):
     """Yield every matching of exactly `size` edges, in lexicographic order of
-    edge indices, as the tuple of labels[i] over its edges (by default the
-    edges themselves). The one matching enumerator of the package."""
+    edge indices, as start + labels[i] + ... over its edges, each label taken
+    as a 1-tuple when start is a tuple: by default the tuple of its edges. The
+    one matching enumerator of the package."""
     if size < 0:
         raise ValueError(f"matching size must be non-negative, got {size}")
     masks = [(1 << u) | (1 << v) for u, v in g.edges]
@@ -139,17 +146,18 @@ def enumerate_matchings(g: Graph, size: int, labels=None):
     for i in range(len(masks) - 1, -1, -1):
         lows[i] = lows[i + 1] | 1 << g.edges[i][0]
     labels = g.edges if labels is None else labels
-    return _walk(masks, lows, labels, size) if size else iter([()])
+    if isinstance(start, tuple):
+        labels = [(label,) for label in labels]
+    return _walk(masks, lows, labels, size, start) if size else iter([start])
 
 
-def _walk(masks, lows, labels, size: int):
-    """Depth-first walk over edge indices with an explicit stack of
-    (index, used-vertex mask) for the edges chosen so far. It descends into
-    an edge only if enough unused lower endpoints of later edges remain for
-    the rest, since the edges of a matching have distinct lower endpoints;
-    the branches it skips hold no matching, so the order is unchanged."""
-    stack: list[tuple[int, int]] = []
-    chosen: list = []
+def _walk(masks, lows, labels, size: int, fold):
+    """Depth-first walk over edge indices with an explicit stack of (index,
+    used-vertex mask, fold) before each chosen edge. It descends into an edge
+    only if enough unused lower endpoints of later edges remain for the rest,
+    since the edges of a matching have distinct lower endpoints; the branches
+    it skips hold no matching, so the order is unchanged."""
+    stack: list[tuple] = []
     i = used = 0
     last = len(masks) - size  # the last index that leaves room for the rest
     while True:
@@ -158,16 +166,15 @@ def _walk(masks, lows, labels, size: int):
         if i > last:
             if not stack:
                 return
-            i, used = stack.pop()
-            chosen.pop()
+            i, used, fold = stack.pop()
             last -= 1
-        elif len(chosen) == size - 1:
-            yield (*chosen, labels[i])
+        elif len(stack) == size - 1:
+            yield fold + labels[i]
         else:
             nxt = used | masks[i]
-            if (lows[i + 1] & ~nxt).bit_count() >= size - 1 - len(chosen):
-                stack.append((i, used))
-                chosen.append(labels[i])
+            if (lows[i + 1] & ~nxt).bit_count() >= size - 1 - len(stack):
+                stack.append((i, used, fold))
+                fold = fold + labels[i]  # a new value: the stack keeps the old one
                 used = nxt
                 last += 1
         i += 1

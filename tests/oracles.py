@@ -3,8 +3,10 @@ and the catalog of tiny bipartite instances the proof-lab tests run on.
 
 These deliberately avoid the library's code paths: closed forms, explicit
 enumerations, and (for graph6) networkx as an external reference encoder.
-The brute-force profile shares only the library's matching enumerator, and
-the dict-keyed column DP is the reference for the library's packed one.
+The brute-force profile shares only the library's matching enumerator, the
+dict-keyed column DP is the reference for the library's packed one, and the
+greedy planner that rebuilds its candidates every step is the reference for
+the engine's incremental one.
 """
 
 from __future__ import annotations
@@ -43,6 +45,50 @@ def matching_profile_bruteforce(g) -> list[int]:
         if not counts[size]:
             break
     return counts
+
+
+def greedy_plan(g) -> list[tuple]:
+    """The frontier DP's plan, (slot bit of v or 0, slot bits of its placed
+    neighbours, keep mask) per step, from the greedy vertex order with the
+    candidates rebuilt and ranked by a key function at every step: the next
+    vertex is an unplaced neighbour of the frontier with the least net
+    frontier growth, then the most placed neighbours, then the lowest index;
+    with an empty frontier it is the lowest unplaced vertex."""
+    adj = g.adj
+    plan = []
+    left = [len(a) for a in adj]  # unplaced neighbours of each vertex
+    placed = [False] * g.n
+    slot: dict[int, int] = {}  # frontier vertex -> its slot bit
+    used = start = 0
+
+    def rank(v):  # net frontier growth, most placed neighbours, index
+        closes = sum(1 for u in adj[v] if left[u] == 1 and u in slot)
+        return ((left[v] > 0) - closes, left[v] - len(adj[v]), v)
+
+    for _ in range(g.n):
+        cands = {u for f in slot for u in adj[f] if not placed[u]}
+        if cands:
+            v = min(cands, key=rank)
+        else:
+            while placed[start]:
+                start += 1
+            v = start
+        placed[v] = True
+        ubits = []
+        done = 0
+        for u in adj[v]:
+            left[u] -= 1
+            if u in slot:
+                ubits.append(slot[u])
+                if not left[u]:
+                    done |= slot.pop(u)
+        used &= ~done
+        vbit = 0
+        if left[v]:
+            vbit = slot[v] = ~used & (used + 1)
+            used |= vbit
+        plan.append((vbit, tuple(ubits), ~done))
+    return plan
 
 
 def elementary_symmetric_by_subsets(values, ell: int) -> int:

@@ -354,6 +354,20 @@ class TestBoundReport:
                            "slackBits", "applicable"]
         assert len(rows) == 1 + sum(len(r.entries) for r in reports)
 
+    def test_wild_row_kept_when_column_dp_refused(self):
+        # a path of 43 vertices: the frontier DP counts it, but the wild bound's
+        # column DP would need 2^21 slots, over the default cap of 2^20
+        path = BipartiteGraph(21, 22, [e for x in range(21) for e in ((x, x), (x, x + 1))])
+        rep = bound_report(path, [21])[0]
+        assert rep.exact_count == 22  # the unmatched vertex sits at an even position
+        wild = rep.entry("wild-gamma")
+        assert wild.applicable and wild.conjectural
+        assert wild.value_bits is None and wild.slack_bits is None
+        for name in ("general", "bipartite", "genminc"):
+            assert rep.entry(name).slack_bits >= -1e-9
+        doc = rep.to_json_dict()["entries"][-1]
+        assert (doc["applicable"], doc["valueBits"], doc["slackBits"]) == (True, None, None)
+
     def test_json_shape(self):
         doc = bound_report(cycle_graph(6), [2], graph_id="C6")[0].to_json_dict()
         assert doc["schema"] == 1

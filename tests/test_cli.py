@@ -91,6 +91,18 @@ class TestBounds:
         doc = json.loads(capsys.readouterr().out)
         assert [r["ell"] for r in doc["reports"]] == [0, 3]
 
+    def test_wild_row_refused_by_column_cap(self, tmp_path, capsys):
+        # the wild bound needs 2^21 column states; only its row goes without a value
+        path = tmp_path / "path21.bip"
+        path.write_text("B 21 22 42\n"
+                        + "".join(f"{x} {x}\n{x} {x + 1}\n" for x in range(21)))
+        assert main(["bounds", "--graph", str(path), "--ell", "21", "--csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[2] for r in rows] == ["cgt", "dregular", "general", "bregman",
+                                        "bipartite", "genminc", "wild-gamma"]
+        assert rows[-1][3:] == ["", rows[0][4], "", "true"]
+        assert all(r[3] for r in rows if r[6] == "true" and r[2] != "wild-gamma")
+
     def test_out_file(self, c6_file, tmp_path):
         out = tmp_path / "bounds.csv"
         assert main(["bounds", "--graph", c6_file, "--ell", "2",

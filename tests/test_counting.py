@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,41 @@ class TestEnumerateMatchings:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_matchings(cycle_graph(4), -1)
+
+
+class TestFoldedMatchings:
+    """enumerate_matchings folds labels with + from its start value: the
+    default (start ()) takes each label as a 1-tuple, start 0 sums them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_graphs(), st.data())
+    def test_integer_fold_is_the_sum_of_each_tuple(self, g, data):
+        labels = data.draw(st.lists(st.integers(-10, 1 << 70), min_size=g.num_edges,
+                                    max_size=g.num_edges))
+        for k in range(g.n // 2 + 2):
+            tuples = list(enumerate_matchings(g, k, labels))
+            assert list(enumerate_matchings(g, k, labels, 0)) == list(map(sum, tuples))
+            assert list(enumerate_matchings(g, k, None, ())) == \
+                list(enumerate_matchings(g, k)) == matchings_by_subsets(g.edges, k)
+
+    def test_tuple_start_is_a_prefix(self):
+        g = cycle_graph(4)  # edges (0,1), (0,3), (1,2), (2,3)
+        assert list(enumerate_matchings(g, 2, "abcd", ("s",))) == \
+            [("s", "a", "d"), ("s", "b", "c")]
+        assert list(enumerate_matchings(g, 0, range(4), 7)) == [7]
+
+    def test_walk_streams(self):
+        # K_14 has 135135 perfect matchings; the first few need only the stack
+        g = Graph(14, list(itertools.combinations(range(14), 2)))
+        tracemalloc.start()
+        try:
+            walk = enumerate_matchings(g, 7, [1 << i for i in range(g.num_edges)], 0)
+            first = [next(walk) for _ in range(10)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first[0] == sum(1 << g.edges.index((2 * i, 2 * i + 1)) for i in range(7))
+        assert peak < 64 * 1024
 
 
 class TestOracleEquivalence:

@@ -22,7 +22,7 @@ from matchbound import (BipartiteGraph, Graph, complete_bipartite, cycle_graph,
                         disjoint_union, matching_marginals, matching_profile,
                         parse_graph6, saturating_count, umc_extremal_profile)
 from matchbound.counting import MaskProfiler
-from oracles import cycle_profile, matching_profile_bruteforce
+from oracles import cycle_profile, greedy_plan, matching_profile_bruteforce
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "engine_profiles.json").read_text())
 LARGE = [e for e in GOLDEN["graphs"] if not e["name"].startswith("criterion-1")]
@@ -103,6 +103,36 @@ class TestProperties:
     @example(BipartiteGraph(6, 8))
     def test_saturating_count_matches_engine(self, b):
         assert saturating_count(b) == matching_profile(b.to_graph())[b.size_x]
+
+
+@st.composite
+def sparse_graphs(draw, max_n=30):
+    """Up to max_n vertices, each given one of four block labels; the edges
+    join vertices of the same block, so the blocks interleave in index order
+    and the graph often has several components and isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if block[u] == block[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    return Graph(n, edges)
+
+
+class TestPlan:
+    """The planner keeps its candidate set across steps; its plan must equal
+    the one of the planner that rebuilds the candidates every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs())
+    @example(Graph(1))
+    @example(Graph(6))
+    @example(Graph(7, [(2, 5), (0, 6), (1, 3), (3, 4), (1, 4)]))
+    def test_matches_rebuilding_planner(self, g):
+        assert MaskProfiler(g).plan == greedy_plan(g)
+
+    def test_recorded_graphs(self):
+        for entry in GOLDEN["graphs"]:
+            g = parse_graph6(entry["graph6"])
+            assert MaskProfiler(g).plan == greedy_plan(g), entry["name"]
 
 
 class TestPackingBoundaries:
