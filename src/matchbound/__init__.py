@@ -2,11 +2,10 @@
 proof-step audits, and seeded conjecture-search campaigns."""
 
 from .bounds import (BoundEntry, BoundReport, binary_entropy, bound_report,
-                     bregman_bound, cgt_bound, elementary_symmetric,
-                     elementary_symmetric_log, genminc_bound, log2_int, log_ratio,
-                     phi_wild, psi, reports_to_csv, thm_bipartite_bound,
-                     thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
-                     wild_bound)
+                     bregman_bound, cgt_bound, elementary_symmetric, genminc_bound,
+                     log2_int, log_ratio, phi_wild, psi, reports_to_csv,
+                     thm_bipartite_bound, thm_dregular_bound, thm_general_bound,
+                     umc_extremal_main_term, wild_bound)
 from .campaigns import CampaignConfig, CampaignReport, Violation, run_campaign
 from .correspondence import AuditReport, verify_fibers
 from .counting import (MarginalTable, MaskProfiler, enumerate_matchings, kdd_profile,

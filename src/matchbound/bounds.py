@@ -97,20 +97,16 @@ def elementary_symmetric(values, ell: int) -> int:
     vals = list(values)
     if not 0 <= ell <= len(vals):
         raise ValueError(f"need 0 <= ell <= {len(vals)}, got {ell}")
-    e = [0] * (ell + 1)
-    e[0] = 1
-    for k, d in enumerate(vals):
-        for j in range(min(k + 1, ell), 0, -1):
+    return _elementary_upto(vals, ell)[ell]
+
+
+def _elementary_upto(values, top: int) -> list[int]:
+    """e_0..e_top of an integer multiset, from one O(len * top) pass."""
+    e = [1] + [0] * top
+    for k, d in enumerate(values):
+        for j in range(min(k + 1, top), 0, -1):
             e[j] += d * e[j - 1]
-    return e[ell]
-
-
-def elementary_symmetric_log(degrees, ell: int) -> float:
-    """log2 of e_ell(degrees), computed exactly then converted to bits."""
-    val = elementary_symmetric(degrees, ell)
-    if val <= 0:
-        raise ValueError("elementary symmetric value is not positive")
-    return log2_int(val)
+    return e
 
 
 def thm_bipartite_bound(b: BipartiteGraph, ell: int) -> float:
@@ -120,9 +116,14 @@ def thm_bipartite_bound(b: BipartiteGraph, ell: int) -> float:
         raise ValueError("isolated X-vertex")
     if not 1 <= ell <= min(b.size_x, b.size_y):
         raise ValueError(f"need 1 <= ell <= min(|X|,|Y|), got {ell}")
-    a_y = ell / b.size_y
-    return elementary_symmetric_log(degs, ell) + b.size_y * (
-        binary_entropy(a_y) + _cover_rate_term(a_y) + log_ratio(min(degs)))
+    return _bipartite_bits(b.size_y, min(degs), elementary_symmetric(degs, ell), ell)
+
+
+def _bipartite_bits(size_y: int, min_degree: int, e_ell: int, ell: int) -> float:
+    """The bipartite bound from e_ell of the X-degrees, which is positive."""
+    a_y = ell / size_y
+    return log2_int(e_ell) + size_y * (
+        binary_entropy(a_y) + _cover_rate_term(a_y) + log_ratio(min_degree))
 
 
 def thm_general_bound(g: Graph, ell: int) -> float:
@@ -132,9 +133,14 @@ def thm_general_bound(g: Graph, ell: int) -> float:
         raise ValueError("isolated vertex")
     if not 0 <= 2 * ell <= g.n:
         raise ValueError(f"need 0 <= 2*ell <= N, got ell={ell}")
-    a = 2 * ell / g.n
-    return 0.5 * elementary_symmetric_log(degs, 2 * ell) + (g.n / 2) * (
-        binary_entropy(a) + _cover_rate_term(a) + log_ratio(min(degs)))
+    return _general_bits(g.n, min(degs), elementary_symmetric(degs, 2 * ell), ell)
+
+
+def _general_bits(n: int, min_degree: int, e_2ell: int, ell: int) -> float:
+    """The general bound from e_{2 ell} of the degrees, which is positive."""
+    a = 2 * ell / n
+    return 0.5 * log2_int(e_2ell) + (n / 2) * (
+        binary_entropy(a) + _cover_rate_term(a) + log_ratio(min_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -297,47 +303,49 @@ def bound_report(graph_or_bip, ells, graph_id: str = "",
         prof = matching_profile(g)
     except CapExceeded:
         prof = None
-    return [_report(g, bip, prof, ell, graph_id, phi_interp) for ell in ells]
 
-
-def _report(g: Graph, bip: BipartiteGraph | None, prof: list[int] | None,
-            ell: int, graph_id: str, phi_interp: str) -> BoundReport:
-    exact_count = None if prof is None else prof[ell]
-    exact_log2 = log2_int(exact_count) if exact_count else None
-
-    report = BoundReport(graph_id=graph_id, ell=ell,
-                         exact_count=exact_count, exact_log2=exact_log2)
-
-    def add(name: str, applicable: bool, compute, conjectural: bool = False):
-        entry = BoundEntry(name=name, applicable=applicable, conjectural=conjectural)
-        report.entries.append(entry)
-        if applicable:
-            entry.value_bits = compute()
-            if exact_log2 is not None:
-                entry.slack_bits = entry.value_bits - exact_log2
-
-    no_isolated = not g.has_isolated_vertex()
-    regular = no_isolated and g.is_regular()
-
-    add("cgt", regular, lambda: cgt_bound(g.n, g.degrees[0], ell))
-    add("dregular", regular, lambda: thm_dregular_bound(g.n, g.degrees[0], ell))
-    add("general", no_isolated, lambda: thm_general_bound(g, ell))
-
-    # the conjectured bounds need the ell-sized part on the X side;
-    # transpose when only the other orientation fits
+    # the per-graph facts, once: every row reads its e_k from one table
+    degs = g.degrees
+    min_deg = min(degs)
+    regular = min_deg >= 1 and min_deg == max(degs)
+    degs_x = [0] if bip is None else bip.degrees_x
+    dx_ok = min(degs_x) >= 1
+    top = max(ells, default=0)
+    e_g, e_x = _elementary_upto(degs, 2 * top), _elementary_upto(degs_x, top)
+    # the conjectured bounds need the ell-sized part on the X side, the
+    # smaller one: transpose when X is the larger part
     gen = bip
-    if bip is not None and bip.size_x != ell and bip.size_y == ell <= bip.size_x:
+    if bip is not None and bip.size_y < bip.size_x:
         gen = BipartiteGraph(bip.size_y, bip.size_x, [(y, x) for x, y in bip.edges])
-    dx_ok = bip is not None and min(bip.degrees_x) >= 1
-    gen_ok = (gen is not None and min(gen.degrees_x) >= 1
-              and gen.size_x == ell <= gen.size_y)
-    add("bregman", dx_ok and bip.size_x == bip.size_y == ell,
-        lambda: bregman_bound(bip.degrees_x))
-    add("bipartite", dx_ok and 1 <= ell <= min(bip.size_x, bip.size_y),
-        lambda: thm_bipartite_bound(bip, ell))
-    add("genminc", gen_ok, lambda: genminc_bound(gen), conjectural=True)
-    with suppress(CapExceeded):  # a refused column DP leaves the row without a value
-        add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
-            lambda: wild_bound(gen, phi_interp), conjectural=True)
+    if gen is not None and min(gen.degrees_x) < 1:
+        gen = None
 
-    return report
+    reports = []
+    for ell in ells:
+        exact_count = None if prof is None else prof[ell]
+        exact_log2 = log2_int(exact_count) if exact_count else None
+        report = BoundReport(graph_id=graph_id, ell=ell,
+                             exact_count=exact_count, exact_log2=exact_log2)
+        reports.append(report)
+
+        def add(name: str, applicable: bool, compute, conjectural: bool = False):
+            entry = BoundEntry(name=name, applicable=applicable, conjectural=conjectural)
+            report.entries.append(entry)
+            if applicable:
+                entry.value_bits = compute()
+                if exact_log2 is not None:
+                    entry.slack_bits = entry.value_bits - exact_log2
+
+        gen_ok = gen is not None and gen.size_x == ell
+        add("cgt", regular, lambda: cgt_bound(g.n, min_deg, ell))
+        add("dregular", regular, lambda: thm_dregular_bound(g.n, min_deg, ell))
+        add("general", min_deg >= 1, lambda: _general_bits(g.n, min_deg, e_g[2 * ell], ell))
+        add("bregman", dx_ok and bip.size_x == bip.size_y == ell,
+            lambda: bregman_bound(degs_x))
+        add("bipartite", dx_ok and 1 <= ell <= min(bip.size_x, bip.size_y),
+            lambda: _bipartite_bits(bip.size_y, min(degs_x), e_x[ell], ell))
+        add("genminc", gen_ok, lambda: genminc_bound(gen), conjectural=True)
+        with suppress(CapExceeded):  # a refused column DP leaves the row without a value
+            add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
+                lambda: wild_bound(gen, phi_interp), conjectural=True)
+    return reports

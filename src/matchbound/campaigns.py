@@ -47,6 +47,9 @@ class CampaignConfig:
                 raise ValueError("umc campaigns need N and d")
             if self.ell is not None or self.size_y is not None:
                 raise ValueError("umc campaigns take no single ell or M")
+            if self.family == "sharp":
+                raise ValueError("umc campaigns take no sharp family: they draw random "
+                                 "regular graphs")
             if n < 1:
                 raise ValueError(f"N must be positive, got {n}")
             if d < 1 or n % (2 * d) != 0:

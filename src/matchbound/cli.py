@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .bounds import bound_report, reports_to_csv
 from .campaigns import CampaignConfig, run_campaign
@@ -91,8 +91,43 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _float_text(x: float) -> str:
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# the text of each scalar, looked up by its exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(node, pad: str = "\n") -> str:
+    """json.dumps(node, indent=2) in one walk, each scalar written inline
+    (given an indent, the stdlib encodes in Python). pad: a newline and the
+    indent of node. Tuples are lists, keys str; other types raise TypeError."""
+    scalar = _SCALARS.get
+    inner = pad + "  "
+    kind = type(node)
+    if kind is dict:
+        parts = [f"{encode_basestring_ascii(k)}: "
+                 f"{w(v) if (w := scalar(type(v))) else _json_text(v, inner)}"
+                 for k, v in node.items()]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        parts = [w(v) if (w := scalar(type(v))) else _json_text(v, inner) for v in node]
+        brackets = "[]"
+    elif (w := scalar(kind)) is not None:
+        return w(node)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{pad}{brackets[1]}"
+
+
 def _write_json(doc: dict, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", out)
+    _write(_json_text(doc) + "\n", out)
 
 
 def _ell_list(spec: str, max_ell: int | None = None) -> list[int]:

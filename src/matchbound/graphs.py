@@ -8,7 +8,9 @@ from 0.
 
 from __future__ import annotations
 
+import functools
 import random
+from itertools import compress
 
 from .errors import CapExceeded, ParseError
 
@@ -52,13 +54,6 @@ class Graph:
     @property
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adj]
-
-    def is_regular(self) -> bool:
-        degs = self.degrees
-        return all(d == degs[0] for d in degs)
-
-    def has_isolated_vertex(self) -> bool:
-        return any(not a for a in self.adj)
 
     def bipartition(self):
         """2-color by BFS, the lowest vertex of each component taking color 0.
@@ -266,12 +261,7 @@ def parse_graph6(text: str) -> Graph:
             raise ParseError("8-byte graph6 sizes (n > 258047) not supported")
         if len(s) < 4:
             raise ParseError("truncated graph6 size header")
-        n = 0
-        for ch in s[1:4]:
-            val = ord(ch) - 63
-            if not 0 <= val < 64:
-                raise ParseError(f"invalid character {ch!r} in graph6 size")
-            n = (n << 6) | val
+        n = int(_g6_bits(s[1:4], "size"), 2)
         body = s[4:]
     else:
         n = ord(s[0]) - 63
@@ -285,22 +275,32 @@ def parse_graph6(text: str) -> Graph:
     if len(body) != expected:
         raise ParseError(
             f"graph6 body length {len(body)} does not match n={n} (expected {expected})")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ParseError(f"invalid character {ch!r} in graph6 body")
-        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = _g6_bits(body, "body")
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 body")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    pairs = _g6_pairs(n) if n <= 62 else _upper_triangle(n)
+    return Graph(n, compress(pairs, bits.encode().translate(_BIT_BYTES)))
+
+
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}  # a character's six bits
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _g6_bits(chars: str, part: str) -> str:
+    """chars as "0"/"1", six bits each, most significant first."""
+    bits = chars.translate(_G6_BITS)
+    if len(bits) != 6 * len(chars):  # a character outside the table kept one place
+        bad = next(ch for ch in chars if ord(ch) not in _G6_BITS)
+        raise ParseError(f"invalid character {bad!r} in graph6 {part}")
+    return bits
+
+
+def _upper_triangle(n: int):
+    """The (i, j) pairs of the upper triangle in graph6 bit order."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
+_g6_pairs = functools.cache(lambda n: tuple(_upper_triangle(n)))  # kept for n <= 62
 
 
 # ---------------------------------------------------------------------------

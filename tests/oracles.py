@@ -2,7 +2,8 @@
 and the catalog of tiny bipartite instances the proof-lab tests run on.
 
 These deliberately avoid the library's code paths: closed forms, explicit
-enumerations, and (for graph6) networkx as an external reference encoder.
+enumerations, and (for graph6) networkx as an external reference encoder and
+the decoder that expanded each character bit by bit.
 The brute-force profile shares only the library's matching enumerator, the
 dict-keyed column DP is the reference for the library's packed one, and the
 greedy planner that rebuilds its candidates every step is the reference for
@@ -17,7 +18,8 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from matchbound import BipartiteGraph, enumerate_matchings, saturating_count
+from matchbound import (BipartiteGraph, Graph, ParseError, enumerate_matchings,
+                        saturating_count)
 
 MAX_BRUTEFORCE_EDGES = 24
 CATALOG_SEED = 20240911  # the seed the recorded prooflab reports were drawn from
@@ -89,6 +91,57 @@ def greedy_plan(g) -> list[tuple]:
             used |= vbit
         plan.append((vbit, tuple(ubits), ~done))
     return plan
+
+
+def parse_graph6_by_bits(text: str) -> Graph:
+    """The graph6 decoder that preceded the table-driven one: each body
+    character checked and expanded into six bits in turn, each bit matched to
+    its (i, j) pair in a double loop. Same errors, same messages."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ParseError("empty graph6 string")
+    if ord(s[0]) == 126:
+        if len(s) >= 2 and ord(s[1]) == 126:
+            raise ParseError("8-byte graph6 sizes (n > 258047) not supported")
+        if len(s) < 4:
+            raise ParseError("truncated graph6 size header")
+        n = 0
+        for ch in s[1:4]:
+            val = ord(ch) - 63
+            if not 0 <= val < 64:
+                raise ParseError(f"invalid character {ch!r} in graph6 size")
+            n = (n << 6) | val
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        if not 0 <= n <= 62:
+            raise ParseError(f"invalid graph6 size character {s[0]!r}")
+        body = s[1:]
+    if n == 0:
+        raise ParseError("graph6 string encodes an empty graph (n=0)")
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(body) != expected:
+        raise ParseError(
+            f"graph6 body length {len(body)} does not match n={n} (expected {expected})")
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ParseError(f"invalid character {ch!r} in graph6 body")
+        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise ParseError("nonzero padding bits in graph6 body")
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return Graph(n, edges)
 
 
 def elementary_symmetric_by_subsets(values, ell: int) -> int:

@@ -1,23 +1,31 @@
 import csv
 import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from matchbound import (BipartiteGraph, Graph, binary_entropy, bound_report,
+from matchbound import (BipartiteGraph, Graph, as_bipartite, binary_entropy, bound_report,
                         bregman_bound, cgt_bound, complete_bipartite, cycle_graph,
-                        disjoint_union, elementary_symmetric,
-                        elementary_symmetric_log, genminc_bound, kdd_profile,
-                        log2_int, log_ratio, matching_profile, phi_wild, psi,
+                        disjoint_union, elementary_symmetric, genminc_bound,
+                        kdd_profile, log2_int, log_ratio, matching_profile, phi_wild, psi,
                         random_regular, reports_to_csv, thm_bipartite_bound,
                         thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                         wild_bound)
 from matchbound.bounds import _psi_loggamma
+from matchbound.cli import main
 from oracles import elementary_symmetric_by_subsets, matching_profile_bruteforce
 
 LOG2E = math.log2(math.e)
 MARGINAL_EXAMPLE = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+# `bounds --json` and `--csv` stdout recorded from the bound_report that
+# recomputed the per-graph facts for every ell, and from json.dumps
+BOUNDS_CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "bounds_reports.json").read_text())
 
 
 class TestScalarFunctions:
@@ -131,15 +139,15 @@ class TestDregularBound:
 class TestElementarySymmetric:
     def test_example(self):
         assert elementary_symmetric([1, 2, 3], 2) == 11
-        assert abs(elementary_symmetric_log([1, 2, 3], 2) - math.log2(11)) < 1e-12
+        assert abs(log2_int(elementary_symmetric([1, 2, 3], 2)) - math.log2(11)) < 1e-12
 
     def test_empty(self):
-        assert elementary_symmetric_log([5, 7], 0) == 0.0
+        assert log2_int(elementary_symmetric([5, 7], 0)) == 0.0
 
     def test_regular_closed_form(self):
         n, d, ell = 9, 4, 3
         expected = math.log2(math.comb(n, ell) * d ** ell)
-        assert abs(elementary_symmetric_log([d] * n, ell) - expected) < 1e-12
+        assert abs(log2_int(elementary_symmetric([d] * n, ell)) - expected) < 1e-12
 
     def test_against_subset_sum(self):
         vals = [1, 2, 2, 3, 5, 7]
@@ -386,3 +394,116 @@ class TestBregmanEqualityFamily:
                 assert count == math.factorial(d) ** copies
                 degs = [d] * (copies * d)
                 assert abs(bregman_bound(degs) - log2_int(count)) < 1e-12
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize("layout", ["json", "csv"])
+    @pytest.mark.parametrize("entry", BOUNDS_CORPUS["inputs"], ids=lambda e: e["name"])
+    def test_stdout(self, entry, layout, tmp_path, monkeypatch, capsys):
+        (tmp_path / entry["name"]).write_text(entry["input"])
+        monkeypatch.chdir(tmp_path)  # the graph id is the path as given
+        assert main(["bounds", "--graph", entry["name"], "--ell", entry["ell"],
+                     f"--{layout}", "--phi-interp", entry["phiInterp"]]) == 0
+        assert capsys.readouterr().out == entry[layout]
+
+    def test_corpus_coverage(self):
+        inputs = BOUNDS_CORPUS["inputs"]
+        assert len(inputs) == 40
+        assert {e["name"].rsplit(".", 1)[1] for e in inputs} == {"edges", "g6", "bip"}
+        assert {e["phiInterp"] for e in inputs} == {"gamma", "literal"}
+        lists = [[int(v) for v in e["ell"].split(",")] for e in inputs if e["ell"] != "all"]
+        assert any(v != sorted(v) for v in lists)
+        assert any(len(set(v)) < len(v) for v in lists)
+        # the path21 wild row: applicable, with no value under the column cap
+        assert any(",wild-gamma,,4.45943161864,,true" in e["csv"] for e in inputs)
+
+
+def _views(g):
+    """The bipartite view (or None) and the flat graph of a report's input."""
+    if isinstance(g, BipartiteGraph):
+        return g, g.to_graph()
+    return as_bipartite(g), g
+
+
+def _applicable(name: str, g, ell: int, count: int) -> bool:
+    """Whether a report row applies, from its bound's own conditions."""
+    bip, flat = _views(g)
+    degs = flat.degrees
+    if name in ("cgt", "dregular", "general"):
+        return min(degs) >= 1 and (name == "general" or len(set(degs)) == 1)
+    if bip is None:
+        return False
+    if name in ("bregman", "bipartite"):
+        fits = (bip.size_x == bip.size_y == ell if name == "bregman"
+                else 1 <= ell <= min(bip.size_x, bip.size_y))
+        return fits and min(bip.degrees_x) >= 1
+    # genminc and wild: a part of size ell, no larger than the other, with
+    # no isolated vertex; X is taken when both parts qualify
+    side = (bip.degrees_x if bip.size_x == ell
+            else bip.degrees_y if bip.size_y == ell else [0])
+    fits = 2 * ell <= bip.size_x + bip.size_y and min(side) >= 1
+    return fits and (name == "genminc" or count > 0)
+
+
+def _direct(name: str, g, ell: int):
+    """The value of one report row from a direct call of its bound."""
+    bip, flat = _views(g)
+    if name in ("cgt", "dregular"):
+        bound = cgt_bound if name == "cgt" else thm_dregular_bound
+        return bound(flat.n, flat.degrees[0], ell)
+    if name == "general":
+        return thm_general_bound(flat, ell)
+    if name == "bregman":
+        return bregman_bound(bip.degrees_x)
+    if name == "bipartite":
+        return thm_bipartite_bound(bip, ell)
+    view = bip if bip.size_x == ell else BipartiteGraph(
+        bip.size_y, bip.size_x, [(y, x) for x, y in bip.edges])
+    if name == "genminc":
+        return genminc_bound(view)
+    return wild_bound(view, name.removeprefix("wild-"))
+
+
+@st.composite
+def bound_cases(draw):
+    """Small graphs of every kind bound_report tells apart: regular, plain
+    (some with isolated vertices), and bipartite with either part larger;
+    with a list of ells and a reading of phi."""
+    kind = draw(st.sampled_from(["regular", "plain", "bipartite"]))
+    if kind == "regular":
+        n, d = draw(st.sampled_from([(4, 1), (6, 2), (8, 3), (9, 4), (10, 3)]))
+        g = random_regular(n, d, draw(st.integers(0, 10 ** 6)))
+    elif kind == "plain":
+        n = draw(st.integers(2, 9))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] < e[1])
+        g = Graph(n, draw(st.lists(pair, unique=True, max_size=16)))
+    else:
+        size_x, size_y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        edge = st.tuples(st.integers(0, size_x - 1), st.integers(0, size_y - 1))
+        g = BipartiteGraph(size_x, size_y, draw(st.lists(edge, unique=True, max_size=16)))
+    n = g.size_x + g.size_y if isinstance(g, BipartiteGraph) else g.n
+    ells = draw(st.lists(st.integers(0, n // 2), max_size=5))
+    return g, ells, draw(st.sampled_from(["gamma", "literal"]))
+
+
+class TestRowsEqualDirectCalls:
+    """Each row applies exactly when its bound's conditions hold, and then
+    holds the bits of a direct call of that bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bound_cases())
+    @example((complete_bipartite(3, 2), [2, 1, 2], "gamma"))
+    @example((complete_bipartite(2, 3), [2, 0], "literal"))
+    @example((complete_bipartite(3, 3).to_graph(), [3, 1], "gamma"))
+    @example((BipartiteGraph(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)]), [3], "gamma"))
+    @example((Graph(5, [(0, 1), (1, 2), (2, 3)]), [2, 1], "literal"))
+    def test_every_row_bit_for_bit(self, case):
+        g, ells, interp = case
+        for rep in bound_report(g, ells, phi_interp=interp):
+            for entry in rep.entries:
+                assert entry.applicable == _applicable(entry.name, g, rep.ell,
+                                                       rep.exact_count), entry.name
+                if entry.applicable:
+                    direct = _direct(entry.name, g, rep.ell)
+                    assert entry.value_bits.hex() == direct.hex(), (entry.name, rep.ell)

@@ -84,6 +84,7 @@ class TestConfigRules:
         (UMC, {"size_y": 3}, "umc campaigns take no single ell or M"),
         (GEN, {"n_vertices": 8}, "genminc campaigns take no N, d or list of ell"),
         (GEN, {"ell_values": [2]}, "genminc campaigns take no N, d or list of ell"),
+        (UMC, {"family": "sharp"}, "umc campaigns take no sharp family"),
     ])
     def test_rule_raises_at_construction(self, base, change, message):
         with pytest.raises(ValueError, match=message):

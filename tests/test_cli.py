@@ -2,17 +2,20 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matchbound
 from matchbound import (Graph, complete_bipartite, cycle_graph, emit_bipartite,
                         emit_edge_list, emit_graph6, random_regular)
-from matchbound.cli import main
+from matchbound.cli import _json_text, main
 
 C6_EDGES = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 K33_EDGES = ("6 9\n" + "\n".join(f"{x} {3 + y}" for x in range(3) for y in range(3))
@@ -39,6 +42,34 @@ def bip_file(tmp_path):
     path = tmp_path / "example.bip"
     path.write_text(MARGINAL_BIP)
     return str(path)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), st.text())
+JSON_DOCS = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=40)
+
+
+class TestJsonWriter:
+    """Every report is written by one walk that gives the text of
+    json.dumps(doc, indent=2)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_DOCS)
+    @example({"": [], "a": {}, "b": (), "c": [[], {}, ()]})
+    @example([-0.0, math.nan, math.inf, -math.inf, 2 ** 64, -2 ** 100, True, False, None])
+    @example({"\xe9\x00\x1f\u2028\ud800\U0001f600": ["\"\\\n\t\x7f", 1e300, 5e-324]})
+    @example((1, (2, ()), {"k": (None,)}))
+    @example("top-level text")
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{1, 2}, {"a": [frozenset()]}, [1, {2}], {1: 2}])
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 class TestCount:
@@ -322,6 +353,8 @@ class TestExitCodes:
          "genminc campaigns take no N, d or list of ell values"),
         (["wild", "--ell", "2", "--M", "3", "--d", "3"],
          "wild campaigns take no N, d or list of ell values"),
+        (["umc", "--N", "12", "--d", "3", "--family", "sharp"],
+         "umc campaigns take no sharp family: they draw random regular graphs"),
     ])
     def test_campaign_config_refused(self, argv, message, capsys):
         # refused when the config is built, not ignored or failed late

@@ -8,6 +8,7 @@ from matchbound import (BipartiteGraph, CapExceeded, Graph, ParseError, as_bipar
                         matching_profile, parse_bipartite, parse_edge_list,
                         parse_graph6, random_graph, random_regular,
                         umc_extremal_profile)
+from oracles import parse_graph6_by_bits
 
 
 class TestEdgeListFormat:
@@ -163,19 +164,73 @@ class TestRoundTripProperties:
         assert parse_bipartite(emit_bipartite(b)) == b
 
 
+@st.composite
+def graph6_texts(draw):
+    """graph6 strings, valid or corrupted: both size headers (the 4-byte one
+    for n >= 63), an optional >>graph6<< prefix and surrounding whitespace,
+    then up to three characters replaced by any others, a set padding bit, or
+    the string cut short or extended."""
+    g = draw(graphs(sizes=st.one_of(st.integers(1, 12), st.integers(58, 68))))
+    text = emit_graph6(g)
+    spare = 6 * (len(text) - (4 if g.n >= 63 else 1)) - g.n * (g.n - 1) // 2
+    fault = draw(st.sampled_from(["none", "replace", "padding", "cut", "extend"]))
+    if fault == "replace":
+        for i in draw(st.lists(st.integers(0, len(text) - 1), min_size=1, max_size=3)):
+            text = text[:i] + draw(st.characters()) + text[i + 1:]
+    elif fault == "padding" and spare:
+        bit = 1 << draw(st.integers(0, spare - 1))
+        text = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | bit))
+    elif fault == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif fault == "extend":
+        text += draw(st.text(min_size=1, max_size=3))
+    prefix = draw(st.sampled_from(["", ">>graph6<<", " \n"]))
+    return prefix + text + draw(st.sampled_from(["", "\n", " \t"]))
+
+
+class TestGraph6Oracle:
+    """The table-driven decoder returns the graph, or raises the ParseError
+    text, of the decoder that expanded each character bit by bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(graph6_texts())
+    @example(">>graph6<<A_")
+    @example("B~")
+    @example("BC")
+    @example("D" + chr(20) + chr(200))
+    @example("A" + chr(20))
+    @example("C" + chr(200) + "~")
+    @example("~??~" + "?" * 325)
+    @example("~??~" + "?" * 324 + "@")
+    @example("~??")
+    @example("~???")
+    @example("~~??????")
+    @example("~?" + chr(20) + "~")
+    @example(">>graph6<<")
+    def test_same_graph_or_same_error(self, text):
+        try:
+            expected = parse_graph6_by_bits(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_graph6(text)
+            assert str(info.value) == str(exc)
+        else:
+            assert parse_graph6(text) == expected
+
+
 class TestConstructions:
     def test_complete_bipartite(self):
         b = complete_bipartite(3, 3)
         assert b.num_edges == 9
         g = b.to_graph()
-        assert g.n == 6 and g.is_regular() and g.degrees[0] == 3
+        assert g.n == 6 and set(g.degrees) == {3}
         # the constructor refuses an empty part
         with pytest.raises(ValueError):
             complete_bipartite(0, 3)
 
     def test_cycle(self):
         g = cycle_graph(6)
-        assert g.num_edges == 6 and g.is_regular() and g.degrees[0] == 2
+        assert g.num_edges == 6 and set(g.degrees) == {2}
         with pytest.raises(ValueError):
             cycle_graph(2)
 
@@ -191,7 +246,7 @@ class TestConstructions:
         for n_vertices, d in ((4, 1), (12, 3), (16, 4)):
             block = complete_bipartite(d, d).to_graph()
             g = disjoint_union([block] * (n_vertices // (2 * d)))
-            assert g.n == n_vertices and g.is_regular() and g.degrees[0] == d
+            assert g.n == n_vertices and set(g.degrees) == {d}
             assert matching_profile(g) == umc_extremal_profile(n_vertices, d)
         with pytest.raises(ValueError, match="must divide"):
             umc_extremal_profile(10, 3)
