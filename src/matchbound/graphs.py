@@ -15,6 +15,7 @@ from itertools import compress
 from .errors import CapExceeded, ParseError
 
 GRAPH6_MAX_N = 258047  # 1- and 4-byte size headers only
+REGULAR_RETRY_CAP = 10 ** 6  # whole pairings random_regular draws before giving up
 
 
 class Graph:
@@ -45,7 +46,7 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))  # ascending: the edges are sorted
 
     @property
     def num_edges(self) -> int:
@@ -54,32 +55,6 @@ class Graph:
     @property
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adj]
-
-    def bipartition(self):
-        """2-color by BFS, the lowest vertex of each component taking color 0.
-
-        Returns (X, Y) as sorted lists, or None if the graph has an odd cycle
-        or one side would be empty.
-        """
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for w in self.adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        x_side = [v for v in range(self.n) if color[v] == 0]
-        y_side = [v for v in range(self.n) if color[v] == 1]
-        if not x_side or not y_side:
-            return None
-        return x_side, y_side
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -117,8 +92,8 @@ class BipartiteGraph:
         for x, y in self.edges:
             adj_x[x].append(y)
             adj_y[y].append(x)
-        self.adj_x = tuple(tuple(sorted(a)) for a in adj_x)
-        self.adj_y = tuple(tuple(sorted(a)) for a in adj_y)
+        self.adj_x = tuple(map(tuple, adj_x))  # ascending: the edges are sorted
+        self.adj_y = tuple(map(tuple, adj_y))
 
     @property
     def num_edges(self) -> int:
@@ -127,10 +102,6 @@ class BipartiteGraph:
     @property
     def degrees_x(self) -> list[int]:
         return [len(a) for a in self.adj_x]
-
-    @property
-    def degrees_y(self) -> list[int]:
-        return [len(a) for a in self.adj_y]
 
     def to_graph(self) -> Graph:
         """Flatten to a Graph: X keeps its indices, Y-vertex y becomes size_x + y."""
@@ -228,26 +199,13 @@ def emit_bipartite(b: BipartiteGraph) -> str:
 
 def emit_graph6(g: Graph) -> str:
     n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    elif n <= GRAPH6_MAX_N:
-        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    else:
+    if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 emitter supports n <= {GRAPH6_MAX_N}")
-    edge_set = set(g.edges)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in edge_set else 0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        chunk = bits[k:k + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for bit in chunk:
-            val = (val << 1) | bit
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    edges = set(g.edges)
+    bits = "".join("1" if e in edges else "0"
+                   for e in (_g6_pairs(n) if n <= 62 else _upper_triangle(n)))
+    head = chr(n + 63) if n <= 62 else "~" + _g6_chars(format(n, "018b"))
+    return head + _g6_chars(bits + "0" * (-len(bits) % 6))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -295,6 +253,11 @@ def _g6_bits(chars: str, part: str) -> str:
     return bits
 
 
+def _g6_chars(bits: str) -> str:
+    """Each six "0"/"1" bits as one character, most significant first."""
+    return "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+
+
 def _upper_triangle(n: int):
     """The (i, j) pairs of the upper triangle in graph6 bit order."""
     return ((i, j) for j in range(1, n) for i in range(j))
@@ -317,18 +280,6 @@ def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     return BipartiteGraph(a, b, [(x, y) for x in range(a) for y in range(b)])
 
 
-def disjoint_union(graphs) -> Graph:
-    """Disjoint union with consecutive relabeling, in the given order."""
-    graphs = list(graphs)
-    total = sum(g.n for g in graphs)
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph(total, edges)
-
-
 def bipartite_double_cover(g: Graph) -> BipartiteGraph:
     """The cover on two copies of V: X-index v is (v,0), Y-index v is (v,1),
     with (x,0)(y,1) an edge exactly when xy is an edge of g."""
@@ -343,7 +294,7 @@ def bipartite_double_cover(g: Graph) -> BipartiteGraph:
 # seeded random generation
 # ---------------------------------------------------------------------------
 
-def random_regular(n: int, d: int, seed, max_attempts: int = 10 ** 6) -> Graph:
+def random_regular(n: int, d: int, seed) -> Graph:
     """Uniform-stub pairing with full rejection of loops and parallel edges.
 
     All randomness comes from the seed; identical seeds give identical graphs.
@@ -354,50 +305,49 @@ def random_regular(n: int, d: int, seed, max_attempts: int = 10 ** 6) -> Graph:
         raise ValueError("need 0 <= d < n")
     rng = random.Random(seed)
     stubs0 = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_attempts):
+    for _ in range(REGULAR_RETRY_CAP):
         stubs = stubs0[:]
         rng.shuffle(stubs)
         edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
+        for u, v in zip(stubs[::2], stubs[1::2]):
             e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
+            if u == v or e in edges:
                 break
             edges.add(e)
-        if ok:
+        else:
             return Graph(n, edges)
-    raise CapExceeded(f"no simple {d}-regular pairing found in {max_attempts} attempts; "
-                      "raise it with random_regular(max_attempts=...), which no CLI "
-                      "flag sets")
-
-
-def random_graph(n: int, p: float, seed) -> Graph:
-    """Seeded Erdos-Renyi G(n, p)."""
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    raise CapExceeded(f"no simple {d}-regular pairing found in {REGULAR_RETRY_CAP} "
+                      "attempts; the cap is the fixed constant graphs.REGULAR_RETRY_CAP, "
+                      "with no knob")
 
 
 def as_bipartite(g: Graph):
     """Reify a 2-colorable Graph as a BipartiteGraph (None if not possible).
 
-    X keeps the color-0 vertices in increasing order, Y the color-1 ones.
+    Colors by BFS, the lowest vertex of each component taking color 0. X
+    keeps the color-0 vertices in increasing order, Y the color-1 ones.
     """
-    split = g.bipartition()
-    if split is None:
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    return None
+    sizes = [0, 0]
+    index = []  # each vertex's index within its side
+    for c in color:
+        index.append(sizes[c])
+        sizes[c] += 1
+    if not all(sizes):
         return None
-    x_side, y_side = split
-    x_index = {v: i for i, v in enumerate(x_side)}
-    y_index = {v: i for i, v in enumerate(y_side)}
-    edges = []
-    for u, v in g.edges:
-        if u in x_index:
-            edges.append((x_index[u], y_index[v]))
-        else:
-            edges.append((x_index[v], y_index[u]))
-    return BipartiteGraph(len(x_side), len(y_side), edges)
+    # every edge has one color-0 end, so X's adjacency lists each edge once
+    return BipartiteGraph(*sizes, [(index[x], index[y]) for x in range(g.n)
+                                   if not color[x] for y in g.adj[x]])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .bounds import LOG2E, binary_entropy, log2_int, thm_bipartite_bound
-from .counting import entropy_bits, enumerate_matchings, frac_str
+from .counting import MarginalTable, enumerate_matchings, frac_str
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
@@ -68,13 +68,12 @@ class Enumeration:
         if self.count == 0:
             raise ValueError("graph has no X-saturating matching")
         # exact partner marginals from integer partner counts
-        self._partner_counts = [[0] * self.m for _ in range(ell)]
+        hits = [[0] * self.m for _ in range(ell)]
         for f in self.fs:
             for x, y in enumerate(f):
-                self._partner_counts[x][y] += 1
-        self.p = [[Fraction(c, self.count) for c in row] for row in self._partner_counts]
-        self.mu = [Fraction(sum(col), self.count) for col in zip(*self._partner_counts)]
-        self.nu = [1 - v for v in self.mu]
+                hits[x][y] += 1
+        self.marginals = MarginalTable(ell, hits, self.count)
+        self.p, self.mu, self.nu = self.marginals.p, self.marginals.mu, self.marginals.nu
         self._by_x: dict[int, tuple] = {}
 
     def _tables(self, x: int) -> tuple:
@@ -127,7 +126,7 @@ class Enumeration:
         denom = self.count * orders
         tables = (
             {k: Fraction(c, denom) for k, c in q.items()},
-            {y: {k: Fraction(c, orders * self._partner_counts[x][y])
+            {y: {k: Fraction(c, orders * self.marginals.hits[x][y])
                  for k, c in table.items()}
              for y, table in q_cond.items()},
             {key: Fraction(c, denom) for key, c in r.items()},
@@ -269,7 +268,7 @@ def inequality_chain_audit(enum: Enumeration) -> ChainAudit:
     for x in range(ell):
         c1 += enum.conditional_entropy_given_available(x)
         chain_sum += enum.conditional_entropy_given_history(x)
-        h_x = entropy_bits(enum.p[x])
+        h_x = enum.marginals.h_edge[x]
         _q, q_cond, r_full = enum.size_tables(x)
         table_slack = 0.0
         closed_slack = 0.0

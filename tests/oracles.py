@@ -2,8 +2,10 @@
 and the catalog of tiny bipartite instances the proof-lab tests run on.
 
 These deliberately avoid the library's code paths: closed forms, explicit
-enumerations, and (for graph6) networkx as an external reference encoder and
-the decoder that expanded each character bit by bit.
+enumerations, and (for graph6) networkx as an external reference encoder,
+the encoder that packed each chunk bit by bit and the decoder that expanded
+each character bit by bit. The seeded G(n, p) generator and the disjoint
+union build test inputs; the library has no use for them.
 The brute-force profile shares only the library's matching enumerator, the
 dict-keyed column DP is the reference for the library's packed one, and the
 greedy planner that rebuilds its candidates every step is the reference for
@@ -91,6 +93,86 @@ def greedy_plan(g) -> list[tuple]:
             used |= vbit
         plan.append((vbit, tuple(ubits), ~done))
     return plan
+
+
+def random_graph(n: int, p: float, seed) -> Graph:
+    """Seeded Erdos-Renyi G(n, p)."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def disjoint_union(graphs) -> Graph:
+    """Disjoint union with consecutive relabeling, in the given order."""
+    graphs = list(graphs)
+    total = sum(g.n for g in graphs)
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return Graph(total, edges)
+
+
+def emit_graph6_by_bits(g: Graph) -> str:
+    """The graph6 encoder that preceded the one built on the decoder's pair
+    order: the header by shifts, the bits by a (j, i) double loop, each
+    six-bit chunk packed bit by bit."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    elif n <= 258047:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    else:
+        raise ValueError("graph6 emitter supports n <= 258047")
+    edge_set = set(g.edges)
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if (i, j) in edge_set else 0)
+    chars = []
+    for k in range(0, len(bits), 6):
+        chunk = bits[k:k + 6]
+        chunk += [0] * (6 - len(chunk))
+        val = 0
+        for bit in chunk:
+            val = (val << 1) | bit
+        chars.append(chr(val + 63))
+    return head + "".join(chars)
+
+
+def as_bipartite_by_lists(g: Graph):
+    """The bipartite view that preceded the one-pass coloring: BFS colors
+    (lowest vertex of each component 0), sorted X and Y lists, an index dict
+    per side and an edge loop that orients each edge by which end is in X.
+    None on an odd cycle or an empty side."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in g.adj[u]:
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    x_side = [v for v in range(g.n) if color[v] == 0]
+    y_side = [v for v in range(g.n) if color[v] == 1]
+    if not x_side or not y_side:
+        return None
+    x_index = {v: i for i, v in enumerate(x_side)}
+    y_index = {v: i for i, v in enumerate(y_side)}
+    edges = []
+    for u, v in g.edges:
+        if u in x_index:
+            edges.append((x_index[u], y_index[v]))
+        else:
+            edges.append((x_index[v], y_index[u]))
+    return BipartiteGraph(len(x_side), len(y_side), edges)
 
 
 def parse_graph6_by_bits(text: str) -> Graph:
@@ -370,7 +452,7 @@ def tiny_bipartite_catalog() -> list[tuple[BipartiteGraph, int]]:
         for bits in range(1, 1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             cand = BipartiteGraph(2, m, edges)
-            if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
+            if min(cand.degrees_x) < 1 or min(len(a) for a in cand.adj_y) < 1:
                 continue
             if saturating_count(cand) > 0:
                 instances.append((cand, 2))
@@ -384,7 +466,7 @@ def tiny_bipartite_catalog() -> list[tuple[BipartiteGraph, int]]:
                 cand = BipartiteGraph(ell, m, edges)
             except ValueError:
                 continue
-            if min(cand.degrees_x) < 1 or min(cand.degrees_y) < 1:
+            if min(cand.degrees_x) < 1 or min(len(a) for a in cand.adj_y) < 1:
                 continue
             if saturating_count(cand) > 0:
                 instances.append((cand, ell))

@@ -10,13 +10,12 @@ import random
 
 from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, Enumeration,
                         Graph, bound_report, complete_bipartite, cycle_graph,
-                        disjoint_union, inequality_chain_audit, kdd_profile,
-                        log2_int, matching_marginals, matching_profile, random_graph,
-                        random_regular, rk_formula_audit, run_campaign,
+                        inequality_chain_audit, kdd_profile, log2_int,
+                        matching_marginals, matching_profile, random_regular, rk_formula_audit, run_campaign,
                         thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                         verify_fibers, zx_distribution_audit)
-from oracles import (cycle_profile, kdd_count, matching_profile_bruteforce,
-                     tiny_bipartite_catalog)
+from oracles import (cycle_profile, disjoint_union, kdd_count,
+                     matching_profile_bruteforce, random_graph, tiny_bipartite_catalog)
 
 TOL = 1e-9
 

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, Graph, as_bipartite, binary_entropy, bound_report,
                         bregman_bound, cgt_bound, complete_bipartite, cycle_graph,
-                        disjoint_union, elementary_symmetric, genminc_bound,
-                        kdd_profile, log2_int, log_ratio, matching_profile, phi_wild, psi,
+                        elementary_symmetric, genminc_bound, kdd_profile, log2_int, log_ratio, matching_profile, phi_wild, psi,
                         random_regular, reports_to_csv, thm_bipartite_bound,
                         thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                         wild_bound)
 from matchbound.bounds import _psi_loggamma
 from matchbound.cli import main
-from oracles import elementary_symmetric_by_subsets, matching_profile_bruteforce
+from oracles import (disjoint_union, elementary_symmetric_by_subsets,
+                     matching_profile_bruteforce)
 
 LOG2E = math.log2(math.e)
 MARGINAL_EXAMPLE = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
@@ -440,7 +440,7 @@ def _applicable(name: str, g, ell: int, count: int) -> bool:
     # genminc and wild: a part of size ell, no larger than the other, with
     # no isolated vertex; X is taken when both parts qualify
     side = (bip.degrees_x if bip.size_x == ell
-            else bip.degrees_y if bip.size_y == ell else [0])
+            else [len(a) for a in bip.adj_y] if bip.size_y == ell else [0])
     fits = 2 * ell <= bip.size_x + bip.size_y and min(side) >= 1
     return fits and (name == "genminc" or count > 0)
 

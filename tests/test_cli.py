@@ -1,4 +1,3 @@
-import functools
 import io
 import itertools
 import json
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 import matchbound
 from matchbound import (Graph, complete_bipartite, cycle_graph, emit_bipartite,
-                        emit_edge_list, emit_graph6, random_regular)
+                        emit_edge_list, emit_graph6)
 from matchbound.cli import _json_text, main
 
 C6_EDGES = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -416,12 +415,11 @@ class TestCapMessages:
             "is rejected\n")
 
     def test_random_regular_attempts(self, monkeypatch, capsys):
-        monkeypatch.setattr(matchbound.campaigns, "random_regular",
-                            functools.partial(random_regular, max_attempts=3))
+        monkeypatch.setattr(matchbound.graphs, "REGULAR_RETRY_CAP", 3)
         argv = ["campaign", "--conjecture", "umc", "--N", "16", "--d", "8", "--samples", "1"]
         assert self._run(argv, capsys) == (
-            "infeasible: no simple 8-regular pairing found in 3 attempts; raise it with "
-            "random_regular(max_attempts=...), which no CLI flag sets\n")
+            "infeasible: no simple 8-regular pairing found in 3 attempts; the cap is the "
+            "fixed constant graphs.REGULAR_RETRY_CAP, with no knob\n")
 
 
 class TestDispatchSequence:

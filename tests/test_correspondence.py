@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (CapExceeded, Graph, complete_bipartite, correspondence,
-                        cycle_graph, disjoint_union, enumerate_matchings, parse_graph6,
-                        random_graph, verify_fibers)
-from oracles import classify_multigraph, count_pair_decompositions
+                        cycle_graph, enumerate_matchings, parse_graph6, verify_fibers)
+from oracles import (classify_multigraph, count_pair_decompositions, disjoint_union,
+                     random_graph)
 
 C3_PLUS_K2 = disjoint_union([cycle_graph(3), Graph(2, [(0, 1)])])
 TWO_TRIANGLES = disjoint_union([cycle_graph(3), cycle_graph(3)])

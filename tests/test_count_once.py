@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import matchbound
-from matchbound import CampaignConfig, bound_report, random_regular, run_campaign
+from matchbound import (CampaignConfig, as_bipartite, bound_report, random_regular,
+                        run_campaign)
 from matchbound.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -37,7 +38,7 @@ def engines(monkeypatch):
 
 def test_bound_sweep_builds_one_engine(engines):
     g = random_regular(14, 3, seed=5)
-    assert g.bipartition() is None
+    assert as_bipartite(g) is None
     reports = bound_report(g, range(g.n // 2 + 1))
     assert [r.ell for r in reports] == list(range(8))
     assert len(engines) == 1

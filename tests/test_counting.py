@@ -11,14 +11,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
-                        cycle_graph, disjoint_union, enumerate_matchings,
-                        kdd_profile, matching_marginals, matching_profile,
-                        parse_bipartite, profile_convolution, profile_to_json,
-                        random_graph, saturating_count, umc_extremal_profile)
+                        cycle_graph, enumerate_matchings, kdd_profile,
+                        matching_marginals, matching_profile, parse_bipartite,
+                        profile_convolution, profile_to_json, saturating_count,
+                        umc_extremal_profile)
 from matchbound.campaigns import _sharp_family
 from matchbound.cli import main
-from oracles import (cycle_profile, kdd_count, marginal_hits_by_dicts,
-                     matching_profile_bruteforce, matchings_by_subsets,
+from oracles import (cycle_profile, disjoint_union, kdd_count, marginal_hits_by_dicts,
+                     matching_profile_bruteforce, matchings_by_subsets, random_graph,
                      saturating_count_by_dicts)
 
 # campaign reports and marginals recorded from the dict-keyed column DP

@@ -2,13 +2,40 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import matchbound
 from matchbound import (BipartiteGraph, CapExceeded, Graph, ParseError, as_bipartite,
                         bipartite_double_cover, complete_bipartite, cycle_graph,
-                        disjoint_union, emit_bipartite, emit_edge_list, emit_graph6,
+                        emit_bipartite, emit_edge_list, emit_graph6,
                         matching_profile, parse_bipartite, parse_edge_list,
-                        parse_graph6, random_graph, random_regular,
-                        umc_extremal_profile)
-from oracles import parse_graph6_by_bits
+                        parse_graph6, random_regular, umc_extremal_profile)
+from oracles import (as_bipartite_by_lists, disjoint_union, emit_graph6_by_bits,
+                     parse_graph6_by_bits, random_graph)
+
+# (n, d, seed, graph6 of random_regular(n, d, seed)), recorded with the
+# encoder kept as oracles.emit_graph6_by_bits: seeded graphs stay the same
+RECORDED_REGULAR = [
+    (4, 3, 0, 'C~'),
+    (6, 1, 1, 'E@Q?'),
+    (6, 2, 2, 'EHf?'),
+    (6, 3, 3, 'ErUg'),
+    (8, 2, 21, 'GBOcSG'),
+    (8, 3, 4, 'GaiHj_'),
+    (9, 4, 23, 'HigTiyk'),
+    (10, 3, 5, 'IGb_e_iE_'),
+    (10, 4, 6, 'IQxPkgioW'),
+    (12, 2, 7, 'K__g?`AK?C?H'),
+    (12, 3, 8, 'K@xP?FC?oAq@'),
+    (12, 4, 9, 'KPBR?ojqCsGi'),
+    (14, 3, 10, 'MP@Y@OA?K?_FU?_o?'),
+    (16, 4, 11, 'OoD_?_Y?wC|?A_@Qs@Qi?'),
+    (18, 3, 12, 'Qw??_C@K?`Gc`?A_@@?Q@?C_C@G'),
+    (20, 1, 13, 'S????G??G_C?O?A????????C??c???C??'),
+    (20, 4, 14, 'SAGC_G@?GBGA_`MASCagCBC@@GGW_DC?C'),
+    (22, 3, 15, 'U@@??@BO?QAA_?C??QKG?AAOAA?GG`?CA`??A?@O'),
+    (24, 4, 22, 'WA?gPo?P?Oo??I?GO?W_??Oc?cQcA?CoAa?OH@@A@H?O?HG'),
+    (30, 4, 16, ']?GO?J?C@??O`OA@HC@O?o??S@?@_aA_?BA?????C?O_?@_??OL?CGOC@_A?_GC_?'
+                'a?@Q?GOG?'),
+]
 
 
 class TestEdgeListFormat:
@@ -272,7 +299,7 @@ class TestDoubleCover:
             cover = bipartite_double_cover(g)
             assert cover.size_x == cover.size_y == g.n
             assert cover.degrees_x == g.degrees
-            assert cover.degrees_y == g.degrees
+            assert [len(a) for a in cover.adj_y] == g.degrees
 
     def test_odd_cycle_cover_is_double_cycle(self):
         from matchbound import matching_profile
@@ -313,9 +340,14 @@ class TestRandomRegular:
                 deg[v] += 1
             assert all(d == 3 for d in deg)
 
-    def test_retry_cap(self):
-        with pytest.raises(CapExceeded):
-            random_regular(2, 1, seed=0, max_attempts=0)
+    @pytest.mark.parametrize("n, d, seed, text", RECORDED_REGULAR)
+    def test_recorded_graphs(self, n, d, seed, text):
+        assert emit_graph6(random_regular(n, d, seed)) == text
+
+    def test_retry_cap(self, monkeypatch):
+        monkeypatch.setattr(matchbound.graphs, "REGULAR_RETRY_CAP", 0)
+        with pytest.raises(CapExceeded, match="graphs.REGULAR_RETRY_CAP, with no knob"):
+            random_regular(2, 1, seed=0)
 
 
 class TestBipartition:
@@ -331,3 +363,91 @@ class TestBipartition:
         k33 = complete_bipartite(3, 3).to_graph()
         b = as_bipartite(k33)
         assert b is not None and sorted(b.degrees_x) == [3, 3, 3]
+
+    def test_one_side_empty(self):
+        assert as_bipartite(Graph(1)) is None
+        assert as_bipartite(Graph(3)) is None
+        # an isolated vertex is a component of its own and joins X
+        assert as_bipartite(Graph(3, [(0, 2)])) == BipartiteGraph(2, 1, [(0, 0)])
+
+
+@st.composite
+def unions(draw):
+    """Disjoint unions, relabelled at random, of blocks that are random
+    graphs (often with isolated vertices), cycles of either parity, random
+    bipartite graphs or single vertices; at most 70 vertices, so both graph6
+    size headers occur."""
+    block = st.one_of(graphs(sizes=st.one_of(st.integers(1, 12), st.integers(40, 68))),
+                      st.integers(3, 16).map(cycle_graph),
+                      bipartite_graphs().map(BipartiteGraph.to_graph),
+                      st.just(Graph(1)))
+    blocks = draw(st.lists(block, min_size=1, max_size=5))
+    while len(blocks) > 1 and sum(b.n for b in blocks) > 70:
+        blocks.pop()
+    g = disjoint_union(blocks)
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestGraphLayerOracles:
+    """The graph6 encoder and the bipartite view agree with the ones they
+    replaced: the encoder that packed each chunk bit by bit, and the coloring
+    read back through sorted side lists and index dicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unions())
+    @example(Graph(1))
+    @example(Graph(62))
+    @example(Graph(63))
+    @example(cycle_graph(63))
+    @example(Graph(70, [(0, 69)]))
+    def test_graph6_encoder(self, g):
+        assert emit_graph6(g) == emit_graph6_by_bits(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unions())
+    @example(Graph(1))
+    @example(Graph(2))
+    @example(Graph(2, [(0, 1)]))
+    @example(disjoint_union([cycle_graph(4), cycle_graph(3)]))
+    @example(disjoint_union([Graph(1), complete_bipartite(2, 3).to_graph()]))
+    def test_bipartite_view(self, g):
+        assert as_bipartite(g) == as_bipartite_by_lists(g)
+
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 5)
+        assert emit_graph6(Graph(5)) == "D??"
+        with pytest.raises(ValueError, match=r"^graph6 emitter supports n <= 5$"):
+            emit_graph6(Graph(6))
+
+
+@st.composite
+def shuffled_edges(draw, edges):
+    """The edges in a random order, each pair flipped or not."""
+    order = draw(st.permutations(edges))
+    return [e[::-1] if draw(st.booleans()) else e for e in order]
+
+
+class TestAdjacency:
+    """Adjacency tuples are the sorted neighbour sets, whatever the order and
+    orientation in which the edges were given."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs().flatmap(lambda g: st.tuples(st.just(g), shuffled_edges(g.edges))))
+    def test_graph(self, case):
+        g, edges = case
+        h = Graph(g.n, edges)
+        assert h == g
+        for v in range(g.n):
+            assert h.adj[v] == tuple(sorted({u for e in edges if v in e for u in e} - {v}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bipartite_graphs().flatmap(lambda b: st.tuples(st.just(b), st.permutations(b.edges))))
+    def test_bipartite(self, case):
+        b, edges = case
+        h = BipartiteGraph(b.size_x, b.size_y, edges)
+        assert h == b
+        for x in range(b.size_x):
+            assert h.adj_x[x] == tuple(sorted({yy for xx, yy in edges if xx == x}))
+        for y in range(b.size_y):
+            assert h.adj_y[y] == tuple(sorted({xx for xx, yy in edges if yy == y}))

@@ -225,7 +225,7 @@ class TestCatalog:
         for b, ell in CATALOG:
             assert b.size_x == ell <= b.size_y
             assert min(b.degrees_x) >= 1
-            assert min(b.degrees_y) >= 1
+            assert min(len(a) for a in b.adj_y) >= 1
 
     def test_deterministic(self):
         again = tiny_bipartite_catalog()
