@@ -14,7 +14,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import matching_marginals, matching_profile
+from .counting import MarginalTable, matching_marginals, matching_profile
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, Graph, as_bipartite
 
@@ -177,8 +177,12 @@ def genminc_bound(b: BipartiteGraph) -> float:
     degs = b.degrees_x
     if min(degs) < 1:
         raise ValueError("isolated X-vertex")
-    m = b.size_y
-    return sum(psi(dx, Fraction(ell * dx, m)) for dx in degs)
+    m, bits = b.size_y, 0
+    for dx in degs:
+        # psi(dx, ell*dx/M) without its Fraction: float(Fraction(a, m)) is a / m
+        k, r = divmod(ell * dx, m)
+        bits += _psi_loggamma(dx, ell * dx / m) if r else log2_int(math.perm(dx, k)) / k
+    return bits
 
 
 def phi_wild(r: float, t: float, interp: str = "gamma") -> float:
@@ -203,12 +207,12 @@ def phi_wild(r: float, t: float, interp: str = "gamma") -> float:
     return (lead - tail) / t
 
 
-def wild_bound(b: BipartiteGraph, interp: str = "gamma") -> float:
+def wild_bound(table: MarginalTable, interp: str = "gamma") -> float:
     """Conjectured bound sum_x phi_wild(H(f(x)), (ell/M)*2^H(f(x))) under the
-    uniform ell-matching distribution, ell = |X|."""
-    ratio = b.size_x / b.size_y
-    return sum((phi_wild(h, ratio * 2.0 ** h, interp)
-                for h in matching_marginals(b).h_edge), 0.0)
+    uniform ell-matching distribution of the graph whose marginals are
+    `table`, ell = |X|."""
+    ratio = table.ell / len(table.hits[0])
+    return sum((phi_wild(h, ratio * 2.0 ** h, interp) for h in table.h_edge), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,5 +351,5 @@ def bound_report(graph_or_bip, ells, graph_id: str = "",
         add("genminc", gen_ok, lambda: genminc_bound(gen), conjectural=True)
         with suppress(CapExceeded):  # a refused column DP leaves the row without a value
             add(f"wild-{phi_interp}", gen_ok and bool(exact_count),
-                lambda: wild_bound(gen, phi_interp), conjectural=True)
+                lambda: wild_bound(matching_marginals(gen), phi_interp), conjectural=True)
     return reports

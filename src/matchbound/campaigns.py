@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import genminc_bound, log2_int, wild_bound
-from .counting import matching_profile, saturating_count, umc_extremal_profile
+from .counting import (_marginal_table, matching_profile, saturating_count,
+                       umc_extremal_profile)
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, emit_bipartite, emit_graph6, random_regular
 
@@ -167,18 +168,19 @@ def _umc_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
         report.instances += 1
 
 
-def _random_instance(ell: int, m: int, p: float, seed) -> tuple[BipartiteGraph, int]:
+def _random_instance(ell: int, m: int, p: float, seed, sweep):
     """A seeded bipartite instance with |X| = ell, no isolated X-vertex, and
-    at least one X-saturating matching, with its count of such matchings."""
+    at least one X-saturating matching, with what `sweep` found on it: its
+    count of such matchings, or its marginal table."""
     rng = random.Random(seed)
     for _ in range(GENERATOR_RETRY_CAP):
         edges = [(x, y) for x in range(ell) for y in range(m) if rng.random() < p]
         cand = BipartiteGraph(ell, m, edges)
         if min(cand.degrees_x) < 1:
             continue
-        cnt = saturating_count(cand)
-        if cnt > 0:
-            return cand, cnt
+        found = sweep(cand)  # 0 or None when there is no X-saturating matching
+        if found:
+            return cand, found
     raise CapExceeded(
         f"no usable instance in {GENERATOR_RETRY_CAP} draws (ell={ell}, M={m}, p={p}); "
         "the draw cap is the fixed constant campaigns.GENERATOR_RETRY_CAP, so raise "
@@ -186,25 +188,25 @@ def _random_instance(ell: int, m: int, p: float, seed) -> tuple[BipartiteGraph, 
         "is rejected")
 
 
+def _partitions(n: int, parts: list[int], biggest: int):
+    """The partitions of n into the given ascending parts, none above
+    `biggest`, as non-increasing tuples in lexicographic order."""
+    if n == 0:
+        yield ()
+    for a in parts:
+        if a <= biggest and a <= n:
+            for rest in _partitions(n - a, parts, a):
+                yield (a, *rest)
+
+
 def _sharp_family(ell: int, m: int, limit: int) -> list[BipartiteGraph]:
     """Disjoint unions of complete bipartite blocks K_{a, a*M/ell} with part
-    ratios all equal to ell/M; the generalized bound is exact on these."""
+    ratios all equal to ell/M; the generalized bound is exact on these. Only
+    the first `limit` partitions are walked."""
     parts_ok = [a for a in range(1, ell + 1) if (a * m) % ell == 0]
-    partitions: list[list[int]] = []
-
-    def descend(remaining: int, biggest: int, chosen: list[int]):
-        if remaining == 0:
-            partitions.append(list(chosen))
-            return
-        for a in parts_ok:
-            if a <= biggest and a <= remaining:
-                chosen.append(a)
-                descend(remaining - a, a, chosen)
-                chosen.pop()
-
-    descend(ell, ell, [])
     instances = []
-    for parts in partitions[:limit]:
+    # zip stops at the end of the range before it asks the walk for more
+    for _, parts in zip(range(limit), _partitions(ell, parts_ok, ell)):
         edges = []
         x_off = 0
         y_off = 0
@@ -220,20 +222,22 @@ def _sharp_family(ell: int, m: int, limit: int) -> list[BipartiteGraph]:
 
 def _bipartite_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
     """Compare exact log2 counts against the generalized per-degree bound
-    (and the entropy-argument variant for "wild" configs)."""
-    ell, m = cfg.ell, cfg.size_y
+    (and the entropy-argument variant for "wild" configs). A wild instance
+    is accepted from its marginal table, whose total is the count."""
+    ell, m, wild = cfg.ell, cfg.size_y, cfg.conjecture == "wild"
+    sweep = _marginal_table if wild else saturating_count
     if cfg.family == "sharp":
-        instances = [(inst, saturating_count(inst))
-                     for inst in _sharp_family(ell, m, cfg.samples)]
+        instances = [(inst, sweep(inst)) for inst in _sharp_family(ell, m, cfg.samples)]
     else:
-        instances = [_random_instance(ell, m, cfg.edge_prob, cfg.seed + idx)
+        instances = [_random_instance(ell, m, cfg.edge_prob, cfg.seed + idx, sweep)
                      for idx in range(cfg.samples)]
 
-    for inst, cnt in instances:
+    for inst, found in instances:
+        cnt = found.total if wild else found
         exact = log2_int(cnt)
         bounds = [("genminc", genminc_bound(inst))]
-        if cfg.conjecture == "wild":
-            bounds.append((f"wild-{cfg.phi_interp}", wild_bound(inst, cfg.phi_interp)))
+        if wild:
+            bounds.append((f"wild-{cfg.phi_interp}", wild_bound(found, cfg.phi_interp)))
         for name, value in bounds:
             slack = value - exact
             if slack < -SLACK_EPS:

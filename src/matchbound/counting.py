@@ -322,8 +322,9 @@ def _columns(b: BipartiteGraph):
 
 def _limbs(table: int, nbytes: int, limbs: int) -> list[list[int]]:
     """The slots of a table as 64-bit words, one list per limb of a slot."""
-    words = array("Q", table.to_bytes(nbytes, "little"))
+    words = memoryview(table.to_bytes(nbytes, "little")).cast("Q")
     if sys.byteorder == "big":
+        words = array("Q", words)
         words.byteswap()
     return [words[a::limbs].tolist() for a in range(limbs)]
 
@@ -343,20 +344,44 @@ def matching_marginals(b: BipartiteGraph) -> MarginalTable:
     over columns after it, the matchings using edge (x, y_j) number
     sum over A of F_j(A) * G_{j+1}(X - A - {x}); p[x][y_j] is that over the total.
     """
+    if b.size_x > b.size_y:
+        raise ValueError(f"need ell <= size_y (got {b.size_x} > {b.size_y})")
+    table = _marginal_table(b)
+    if table is None:
+        raise ValueError("graph has no X-saturating matching")
+    return table
+
+
+def _marginal_table(b: BipartiteGraph) -> MarginalTable | None:
+    """The marginals of b, ell = |X| <= size_y, from one forward and one
+    backward sweep, or None when b has no X-saturating matching; the
+    table's total is that count.
+
+    Only the columns with X-neighbours, j_first..j_last, hold hits. After
+    j_last the backward table is G = {empty: 1}, so hits[x][j_last] is the
+    one slot F_{j_last}(X - x). Every saturating matching pairs x with one
+    column, so a row sums to the total and hits[x][j_first] is what the
+    other columns leave of it. Only the inner columns take dot products.
+    """
     ell = b.size_x
-    if ell > b.size_y:
-        raise ValueError(f"need ell <= size_y (got {ell} > {b.size_y})")
     width, pickers, step = _columns(b)
     full = (1 << ell) - 1
     forward = list(accumulate(b.adj_y, step, initial=1))
     total = forward[-1] >> width * full
-    if total == 0:
-        raise ValueError("graph has no X-saturating matching")
-    nbytes, limbs = width << ell >> 3, width >> 6
+    if not total:
+        return None
     hits = [[0] * b.size_y for _ in range(ell)]
+    used = [j for j, xs in enumerate(b.adj_y) if xs]  # total > 0: at least one
+    first, last = used[0], used[-1]
+    slot = (1 << width) - 1
+    for x in b.adj_y[last]:
+        hits[x][last] = forward[last] >> width * (full ^ 1 << x) & slot
+    nbytes, limbs = width << ell >> 3, width >> 6
     after = 1 << width * full  # slot i holds G(X - i), and G(empty) = 1
-    for j in range(b.size_y - 1, -1, -1):
-        xs = b.adj_y[j]
+    later = last  # the nearest column after j with X-neighbours
+    for j in reversed(used[1:-1]):
+        after = step(after, b.adj_y[later], down=True)
+        later, xs = j, b.adj_y[j]
         f, g = _limbs(forward[j], nbytes, limbs), _limbs(after, nbytes, limbs)
         for a, fa in enumerate(f):
             for c, gc in enumerate(g):
@@ -364,5 +389,7 @@ def matching_marginals(b: BipartiteGraph) -> MarginalTable:
                     # pair F(A) for A lacking x with G(X - A - x), held at slot A + 2^x
                     lack, has = pickers[x]
                     hits[x][j] += sum(map(mul, lack(fa), has(gc))) << 64 * (a + c)
-        after = step(after, xs, down=True)
+    if first != last:
+        for x in b.adj_y[first]:
+            hits[x][first] = total - sum(hits[x])
     return MarginalTable(ell=ell, hits=hits, total=total)

@@ -303,11 +303,18 @@ def random_regular(n: int, d: int, seed) -> Graph:
         raise ValueError("n*d must be even")
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     stubs0 = [v for v in range(n) for _ in range(d)]
+    # Fisher-Yates drawing as random.shuffle does on CPython 3.10 and 3.11:
+    # j below i + 1 from getrandbits((i + 1).bit_length()), redrawn above i
+    steps = [(i, (i + 1).bit_length()) for i in range(len(stubs0) - 1, 0, -1)]
     for _ in range(REGULAR_RETRY_CAP):
         stubs = stubs0[:]
-        rng.shuffle(stubs)
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         edges = set()
         for u, v in zip(stubs[::2], stubs[1::2]):
             e = (u, v) if u < v else (v, u)

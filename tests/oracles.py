@@ -5,7 +5,9 @@ These deliberately avoid the library's code paths: closed forms, explicit
 enumerations, and (for graph6) networkx as an external reference encoder,
 the encoder that packed each chunk bit by bit and the decoder that expanded
 each character bit by bit. The seeded G(n, p) generator and the disjoint
-union build test inputs; the library has no use for them.
+union build test inputs; the library has no use for them. The pairing
+generator on random.shuffle and the eager sharp-family walk are the
+references for the library's own Fisher-Yates and lazy walk.
 The brute-force profile shares only the library's matching enumerator, the
 dict-keyed column DP is the reference for the library's packed one, and the
 greedy planner that rebuilds its candidates every step is the reference for
@@ -112,6 +114,55 @@ def disjoint_union(graphs) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
     return Graph(total, edges)
+
+
+def random_regular_by_shuffle(n: int, d: int, seed) -> Graph:
+    """The pairing generator that shuffled its stubs with random.shuffle,
+    the reference for the library's Fisher-Yates on getrandbits."""
+    rng = random.Random(seed)
+    stubs0 = [v for v in range(n) for _ in range(d)]
+    while True:
+        stubs = stubs0[:]
+        rng.shuffle(stubs)
+        edges = set()
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            e = (u, v) if u < v else (v, u)
+            if u == v or e in edges:
+                break
+            edges.add(e)
+        else:
+            return Graph(n, edges)
+
+
+def sharp_family_by_descent(ell: int, m: int, limit: int) -> list[BipartiteGraph]:
+    """The sharp family built from the list of every partition of ell into
+    parts a with a*M/ell integral, sliced to `limit` afterwards: the walk the
+    library's lazy one must reproduce, member for member."""
+    parts_ok = [a for a in range(1, ell + 1) if (a * m) % ell == 0]
+    partitions: list[list[int]] = []
+
+    def descend(remaining: int, biggest: int, chosen: list[int]):
+        if remaining == 0:
+            partitions.append(list(chosen))
+            return
+        for a in parts_ok:
+            if a <= biggest and a <= remaining:
+                chosen.append(a)
+                descend(remaining - a, a, chosen)
+                chosen.pop()
+
+    descend(ell, ell, [])
+    instances = []
+    for parts in partitions[:limit]:
+        edges = []
+        x_off = y_off = 0
+        for a in parts:
+            b_size = a * m // ell
+            edges.extend((x_off + i, y_off + j) for i in range(a) for j in range(b_size))
+            x_off += a
+            y_off += b_size
+        instances.append(BipartiteGraph(ell, m, edges))
+    return instances
 
 
 def emit_graph6_by_bits(g: Graph) -> str:

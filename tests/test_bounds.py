@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, Graph, as_bipartite, binary_entropy, bound_report,
                         bregman_bound, cgt_bound, complete_bipartite, cycle_graph,
-                        elementary_symmetric, genminc_bound, kdd_profile, log2_int, log_ratio, matching_profile, phi_wild, psi,
+                        elementary_symmetric, genminc_bound, kdd_profile, log2_int, log_ratio,
+                        matching_marginals, matching_profile, phi_wild, psi,
                         random_regular, reports_to_csv, thm_bipartite_bound,
                         thm_dregular_bound, thm_general_bound, umc_extremal_main_term,
                         wild_bound)
 from matchbound.bounds import _psi_loggamma
+from matchbound.campaigns import _sharp_family
 from matchbound.cli import main
 from oracles import (disjoint_union, elementary_symmetric_by_subsets,
                      matching_profile_bruteforce)
@@ -248,6 +250,28 @@ class TestGenmincBound:
         assert abs(val - 2 * psi(2, Fraction(4, 3))) < 1e-12
         assert val >= math.log2(3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 8), st.data())
+    def test_equals_psi_sum_on_random_instances(self, ell, extra, data):
+        m = ell + extra
+        degs = data.draw(st.lists(st.integers(1, m), min_size=ell, max_size=ell))
+        b = BipartiteGraph(ell, m, [(x, y) for x, d in enumerate(degs) for y in range(d)])
+        assert genminc_bound(b) == sum(psi(d, Fraction(ell * d, m)) for d in degs)
+
+    def test_equals_psi_sum_on_sharp_and_mixed_instances(self):
+        # sharp members have integral t only; the mixed ones have both kinds
+        cases = [b for ell in range(1, 11) for m in range(ell, 2 * ell + 4)
+                 for b in _sharp_family(ell, m, limit=4)]
+        cases += [BipartiteGraph(4, 6, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
+                                        (2, 3), (3, 4), (3, 5)]),
+                  BipartiteGraph(3, 7, [(x, y) for x in range(3) for y in range(2 + 2 * x)])]
+        integral = set()
+        for b in cases:
+            ell, m = b.size_x, b.size_y
+            integral.update(ell * d % m == 0 for d in b.degrees_x)
+            assert genminc_bound(b) == sum(psi(d, Fraction(ell * d, m)) for d in b.degrees_x)
+        assert integral == {True, False}
+
     def test_errors(self):
         with pytest.raises(ValueError, match="need ell <= size_y"):
             genminc_bound(complete_bipartite(4, 2))
@@ -281,24 +305,24 @@ class TestWildBound:
         for ell, m in ((2, 5), (3, 4)):
             b = complete_bipartite(ell, m)
             exact = log2_int(matching_profile(b.to_graph())[ell])
-            assert abs(wild_bound(b, "gamma") - exact) < 1e-9
+            assert abs(wild_bound(matching_marginals(b), "gamma") - exact) < 1e-9
 
     def test_uniform_marginals_match_genminc(self):
         # an 8-cycle split across the bipartition: every partner uniform
         b = BipartiteGraph(4, 4, [(0, 0), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2),
                                   (3, 2), (3, 3)])
-        assert abs(wild_bound(b, "gamma") - genminc_bound(b)) < 1e-9
+        assert abs(wild_bound(matching_marginals(b), "gamma") - genminc_bound(b)) < 1e-9
 
     def test_marginal_example_holds(self):
-        val = wild_bound(MARGINAL_EXAMPLE, "gamma")
+        val = wild_bound(matching_marginals(MARGINAL_EXAMPLE), "gamma")
         assert val >= math.log2(3) - 1e-9
 
     def test_literal_fails_on_star(self):
         # the printed (no-Gamma) reading drops below the exact count here
         b = complete_bipartite(1, 2)
         exact = log2_int(matching_profile(b.to_graph())[1])
-        assert wild_bound(b, "literal") < exact - 0.5
-        assert abs(wild_bound(b, "gamma") - exact) < 1e-9
+        assert wild_bound(matching_marginals(b), "literal") < exact - 0.5
+        assert abs(wild_bound(matching_marginals(b), "gamma") - exact) < 1e-9
 
 
 class TestBoundReport:
@@ -461,7 +485,7 @@ def _direct(name: str, g, ell: int):
         bip.size_y, bip.size_x, [(y, x) for x, y in bip.edges])
     if name == "genminc":
         return genminc_bound(view)
-    return wild_bound(view, name.removeprefix("wild-"))
+    return wild_bound(matching_marginals(view), name.removeprefix("wild-"))
 
 
 @st.composite

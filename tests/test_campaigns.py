@@ -1,12 +1,19 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from matchbound import (CampaignConfig, bregman_bound, genminc_bound,
-                        log2_int, matching_profile, parse_bipartite, parse_graph6,
-                        run_campaign, umc_extremal_profile, wild_bound)
+from matchbound import (CampaignConfig, CapExceeded, bregman_bound, genminc_bound,
+                        log2_int, matching_marginals, matching_profile, parse_bipartite,
+                        parse_graph6, run_campaign, umc_extremal_profile, wild_bound)
 from matchbound.campaigns import _sharp_family
-from oracles import cycle_profile
+from matchbound.cli import main
+from oracles import cycle_profile, sharp_family_by_descent
+
+UMC_CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "umc_reports.json").read_text())["umc"]
 
 
 def _without_runtime(report) -> dict:
@@ -55,6 +62,23 @@ class TestUmcCampaign:
         with pytest.raises(ValueError, match="0..4"):
             CampaignConfig(conjecture="umc", samples=1, seed=1, n_vertices=8, d=2,
                            ell_values=[5])
+
+
+class TestRecordedUmc:
+    """umc reports recorded while the pairing still shuffled its stubs with
+    random.shuffle, replayed byte for byte with runtimeSeconds cut."""
+
+    @pytest.mark.parametrize("entry", UMC_CORPUS, ids=lambda e: " ".join(e["argv"][3:]))
+    def test_replay(self, entry, capsys):
+        assert main(entry["argv"]) == 0
+        out = re.sub(r'"runtimeSeconds": [^\n]*', '"runtimeSeconds": null',
+                     capsys.readouterr().out)
+        assert out == entry["stdout"]
+
+    def test_corpus_coverage(self):
+        shapes = {(e["argv"][4], e["argv"][6], "--ell" in e["argv"]) for e in UMC_CORPUS}
+        for n, d in (("12", "2"), ("18", "3"), ("24", "3"), ("16", "4"), ("20", "5")):
+            assert {(n, d, False), (n, d, True)} <= shapes
 
 
 class TestConfigRules:
@@ -112,6 +136,23 @@ class TestGenmincCampaign:
         assert all(abs(s) < 1e-9 for s in rep.worst_slack_bits)
         assert len(rep.sharp_candidates) == rep.instances
 
+    def test_sharp_family_matches_eager_walk(self):
+        for ell in range(1, 15):
+            for m in range(ell, 2 * ell + 1):  # every divisibility pattern of a*M by ell
+                eager = sharp_family_by_descent(ell, m, limit=10 ** 6)
+                assert _sharp_family(ell, m, limit=10 ** 6) == eager
+                for limit in (0, 1, 3):
+                    assert _sharp_family(ell, m, limit) == eager[:limit]
+
+    def test_sharp_family_walks_only_what_it_takes(self):
+        # the eager walk listed all p(70) ~ 4e6 partitions of 140 into even parts
+        fam = _sharp_family(140, 210, limit=1)
+        assert [b.degrees_x for b in fam] == [[3] * 140]
+        cfg = CampaignConfig(conjecture="genminc", samples=1, seed=0, ell=140,
+                             size_y=210, family="sharp")
+        with pytest.raises(CapExceeded, match="column state cap"):
+            run_campaign(cfg)
+
     def test_square_family_reduces_to_bregman(self):
         for inst in _sharp_family(3, 3, limit=10):
             assert abs(genminc_bound(inst) - bregman_bound(inst.degrees_x)) < 1e-12
@@ -138,7 +179,7 @@ class TestGenmincCampaign:
         assert violation.bound == "wild-literal"
         reparsed = parse_bipartite(violation.graph)
         exact = log2_int(matching_profile(reparsed.to_graph())[violation.ell])
-        assert wild_bound(reparsed, "literal") < exact - 1e-9
+        assert wild_bound(matching_marginals(reparsed), "literal") < exact - 1e-9
 
     def test_wild_gamma_reading_holds_there(self):
         cfg = CampaignConfig(conjecture="wild", samples=1, seed=0, ell=1, size_y=2,
@@ -164,7 +205,7 @@ class TestReportContract:
             reparsed = parse_bipartite(v["graph"])
             exact = log2_int(matching_profile(reparsed.to_graph())[v["ell"]])
             assert math.isclose(exact, v["lhsBits"], abs_tol=1e-12)
-            value = wild_bound(reparsed, "literal")
+            value = wild_bound(matching_marginals(reparsed), "literal")
             assert math.isclose(value, v["rhsBits"], abs_tol=1e-12)
             assert value < exact - 1e-9
 

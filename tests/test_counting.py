@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
@@ -17,6 +17,7 @@ from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
                         umc_extremal_profile)
 from matchbound.campaigns import _sharp_family
 from matchbound.cli import main
+from matchbound.counting import _marginal_table
 from oracles import (cycle_profile, disjoint_union, kdd_count, marginal_hits_by_dicts,
                      matching_profile_bruteforce, matchings_by_subsets, random_graph,
                      saturating_count_by_dicts)
@@ -342,15 +343,30 @@ def wide_instances(draw):
 class TestColumnDPOracle:
     """The packed column DP against the dict-keyed one kept in oracles.py."""
 
-    @settings(max_examples=150, deadline=None)
+    # the examples reach each end-column case of the marginals: ell = 1
+    # alone, one non-empty column (with and without a saturating matching),
+    # no inner column, empty first and last columns
+    @settings(max_examples=200, deadline=None)
+    @example(BipartiteGraph(1, 1, [(0, 0)]))
+    @example(BipartiteGraph(1, 4, [(0, 2)]))
+    @example(BipartiteGraph(1, 4, [(0, 0), (0, 3)]))
+    @example(BipartiteGraph(2, 3, [(0, 1), (1, 1)]))
+    @example(BipartiteGraph(2, 4, [(0, 1), (1, 1), (0, 2), (1, 2)]))
+    @example(BipartiteGraph(3, 5, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     @given(column_instances())
     def test_small(self, b):
         assert saturating_count(b) == saturating_count_by_dicts(b)
-        if b.size_x > b.size_y or not saturating_count(b):
+        if b.size_x > b.size_y:
             return
         hits, total = marginal_hits_by_dicts(b)
+        if not total:
+            assert _marginal_table(b) is None
+            with pytest.raises(ValueError, match="graph has no X-saturating matching"):
+                matching_marginals(b)
+            return
         table = matching_marginals(b)
         assert (table.hits, table.total) == (hits, total)
+        assert _marginal_table(b) == table
 
     # shrinking a failing 300-column instance would take minutes
     @settings(max_examples=3, deadline=None,
@@ -361,6 +377,16 @@ class TestColumnDPOracle:
         assert table.total >= 1 << 70
         assert saturating_count(b) == table.total
         assert (table.hits, table.total) == marginal_hits_by_dicts(b)
+
+    def test_two_limb_slots_k12_50(self):
+        # prod d_x = 49^4 * 50^8 >= 2^64: every slot takes two limbs
+        missing = {(x, 7 * x % 50) for x in range(4)}
+        b = BipartiteGraph(12, 50, [(x, y) for x in range(12) for y in range(50)
+                                    if (x, y) not in missing])
+        assert math.prod(b.degrees_x) >= 1 << 64
+        table = matching_marginals(b)
+        assert (table.hits, table.total) == marginal_hits_by_dicts(b)
+        assert len({tuple(row) for row in table.hits}) > 1
 
     @pytest.mark.parametrize("ell, m", [(1, 1), (3, 5), (5, 5)])
     def test_cap_boundary(self, ell, m, monkeypatch):

@@ -9,7 +9,7 @@ from matchbound import (BipartiteGraph, CapExceeded, Graph, ParseError, as_bipar
                         matching_profile, parse_bipartite, parse_edge_list,
                         parse_graph6, random_regular, umc_extremal_profile)
 from oracles import (as_bipartite_by_lists, disjoint_union, emit_graph6_by_bits,
-                     parse_graph6_by_bits, random_graph)
+                     parse_graph6_by_bits, random_graph, random_regular_by_shuffle)
 
 # (n, d, seed, graph6 of random_regular(n, d, seed)), recorded with the
 # encoder kept as oracles.emit_graph6_by_bits: seeded graphs stay the same
@@ -343,6 +343,14 @@ class TestRandomRegular:
     @pytest.mark.parametrize("n, d, seed, text", RECORDED_REGULAR)
     def test_recorded_graphs(self, n, d, seed, text):
         assert emit_graph6(random_regular(n, d, seed)) == text
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_same_draws_as_stdlib_shuffle(self, d):
+        # 216 (n, d, seed) triples in all; the seeds are spread out
+        for n in range(d + 1, d + 17):
+            if n * d % 2 == 0:
+                for seed in (n, 1000 + 7 * d, 10 ** 6 + n * d):
+                    assert random_regular(n, d, seed) == random_regular_by_shuffle(n, d, seed)
 
     def test_retry_cap(self, monkeypatch):
         monkeypatch.setattr(matchbound.graphs, "REGULAR_RETRY_CAP", 0)
