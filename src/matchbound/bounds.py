@@ -62,7 +62,7 @@ def bregman_bound(degrees_x) -> float:
     degs = list(degrees_x)
     if any(d < 1 for d in degs):
         raise ValueError("all degrees must be >= 1")
-    return sum(log2_int(math.factorial(d)) / d for d in degs)
+    return sum(_psi_term(d, d, 1) for d in degs)
 
 
 def cgt_bound(n_vertices: int, d: int, ell: int) -> float:
@@ -153,20 +153,20 @@ def _psi_loggamma(d: int, t: float) -> float:
     return (log2_int(math.factorial(d)) - math.lgamma(d - t + 1.0) / LN2) / t
 
 
-def psi(d: int, t) -> float:
-    """Per-vertex bound term: [log2(d!) - log2(Gamma(d-t+1))] / t.
+def _psi_term(d: int, num: int, den: int) -> float:
+    """psi(d, num/den): for integral t the log2 of the falling factorial
+    d(d-1)...(d-t+1) over t, computed exactly; log-gamma otherwise."""
+    k, r = divmod(num, den)
+    return _psi_loggamma(d, num / den) if r else log2_int(math.perm(d, k)) / k
 
-    For integer t this is log2 of the falling factorial d(d-1)...(d-t+1)
-    divided by t, computed exactly.
-    """
+
+def psi(d: int, t) -> float:
+    """Per-vertex bound term: [log2(d!) - log2(Gamma(d-t+1))] / t."""
     if d < 1 or int(d) != d:
         raise ValueError("d must be a positive integer")
     if not 0 < t <= d:
         raise ValueError(f"need 0 < t <= d, got t={t}, d={d}")
-    if Fraction(t).denominator == 1:
-        k = int(t)
-        return log2_int(math.perm(d, k)) / k
-    return _psi_loggamma(int(d), float(t))
+    return _psi_term(int(d), *Fraction(t).as_integer_ratio())
 
 
 def genminc_bound(b: BipartiteGraph) -> float:
@@ -177,12 +177,7 @@ def genminc_bound(b: BipartiteGraph) -> float:
     degs = b.degrees_x
     if min(degs) < 1:
         raise ValueError("isolated X-vertex")
-    m, bits = b.size_y, 0
-    for dx in degs:
-        # psi(dx, ell*dx/M) without its Fraction: float(Fraction(a, m)) is a / m
-        k, r = divmod(ell * dx, m)
-        bits += _psi_loggamma(dx, ell * dx / m) if r else log2_int(math.perm(dx, k)) / k
-    return bits
+    return sum(_psi_term(dx, ell * dx, b.size_y) for dx in degs)
 
 
 def phi_wild(r: float, t: float, interp: str = "gamma") -> float:

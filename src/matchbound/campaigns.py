@@ -60,7 +60,7 @@ class CampaignConfig:
         else:
             ell, m = self.ell, self.size_y
             if ell is None or m is None:
-                raise ValueError("genminc campaigns need ell and M")
+                raise ValueError(f"{self.conjecture} campaigns need ell and M")
             if (self.n_vertices, self.d, self.ell_values) != (None, None, None):
                 raise ValueError(f"{self.conjecture} campaigns take no N, d or "
                                  "list of ell values")
@@ -190,13 +190,26 @@ def _random_instance(ell: int, m: int, p: float, seed, sweep):
 
 def _partitions(n: int, parts: list[int], biggest: int):
     """The partitions of n into the given ascending parts, none above
-    `biggest`, as non-increasing tuples in lexicographic order."""
+    `biggest`, as non-increasing tuples in lexicographic order. The walk
+    keeps its own stack, so a partition of any length is within reach."""
+    chosen: list[int] = []  # the parts of the current prefix
+    resume: list[int] = []  # per chosen part, the index of the next part in its place
+    i = 0
     if n == 0:
         yield ()
-    for a in parts:
-        if a <= biggest and a <= n:
-            for rest in _partitions(n - a, parts, a):
-                yield (a, *rest)
+    while True:
+        if i < len(parts) and parts[i] <= min(chosen[-1] if chosen else biggest, n):
+            chosen.append(parts[i])
+            resume.append(i + 1)
+            n -= parts[i]
+            i = 0
+            if n == 0:
+                yield tuple(chosen)
+        elif chosen:
+            n += chosen.pop()
+            i = resume.pop()
+        else:
+            return
 
 
 def _sharp_family(ell: int, m: int, limit: int) -> list[BipartiteGraph]:

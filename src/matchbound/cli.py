@@ -141,67 +141,6 @@ def _ell_list(spec: str, max_ell: int | None = None) -> list[int]:
         raise _UsageError(f"bad --ell value {spec!r}") from None
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="matchbound")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def graph_flags(p):
-        p.add_argument("--graph", required=True, help="input file, or - for stdin")
-        p.add_argument("--format", choices=["g6", "edges", "bipartite"],
-                       default=None, help="default: inferred from extension")
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("count", help="exact matching profile")
-    graph_flags(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("bounds", help="bound table for one or all ell")
-    graph_flags(p)
-    p.add_argument("--ell", default="all")
-    layout = p.add_mutually_exclusive_group()
-    layout.add_argument("--json", action="store_true")
-    layout.add_argument("--csv", action="store_true")
-    p.add_argument("--phi-interp", choices=["gamma", "literal"], default="gamma")
-
-    p = sub.add_parser("marginals", help="exact matching marginals (bipartite)")
-    graph_flags(p)
-    p.add_argument("--ell", required=True, type=int)
-
-    p = sub.add_parser("double-cover", help="emit the bipartite double cover")
-    graph_flags(p)
-
-    p = sub.add_parser("fibers", help="fiber-size audit for one ell")
-    graph_flags(p)
-    p.add_argument("--ell", required=True, type=int)
-
-    p = sub.add_parser("prooflab", help="entropy-argument audits (bipartite)")
-    graph_flags(p)
-    p.add_argument("--ell", required=True, type=int)
-
-    p = sub.add_parser("campaign", help="seeded conjecture campaign")
-    p.add_argument("--conjecture", choices=["umc", "genminc", "wild"], required=True)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--ell", default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--family", choices=["random", "sharp"], default="random")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi-interp", choices=["gamma", "literal"], default="gamma")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", default=None)
-
-    return parser
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """The parser, built on the first dispatch and reused after it: building
-    costs far more than parsing, and parse_args leaves the parser unchanged."""
-    return build_parser()
-
-
 def _cmd_count(args) -> int:
     g, _name = _read_graph(args, Graph)
     prof = matching_profile(g)
@@ -280,21 +219,66 @@ def _cmd_campaign(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "bounds": _cmd_bounds,
-    "marginals": _cmd_marginals,
-    "double-cover": _cmd_double_cover,
-    "fibers": _cmd_fibers,
-    "prooflab": _cmd_prooflab,
-    "campaign": _cmd_campaign,
-}
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser, built on the first call and shared by every call after
+    it: building costs far more than parsing, and parse_args leaves the
+    parser unchanged. Each subcommand names the function that runs it."""
+    parser = _Parser(prog="matchbound")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help, run, graph=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if graph:
+            p.add_argument("--graph", required=True, help="input file, or - for stdin")
+            p.add_argument("--format", choices=["g6", "edges", "bipartite"],
+                           default=None, help="default: inferred from extension")
+            p.add_argument("--out", default=None)
+        return p
+
+    p = command("count", "exact matching profile", _cmd_count)
+    p.add_argument("--json", action="store_true")
+
+    p = command("bounds", "bound table for one or all ell", _cmd_bounds)
+    p.add_argument("--ell", default="all")
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--json", action="store_true")
+    layout.add_argument("--csv", action="store_true")
+    p.add_argument("--phi-interp", choices=["gamma", "literal"], default="gamma")
+
+    p = command("marginals", "exact matching marginals (bipartite)", _cmd_marginals)
+    p.add_argument("--ell", required=True, type=int)
+
+    command("double-cover", "emit the bipartite double cover", _cmd_double_cover)
+
+    p = command("fibers", "fiber-size audit for one ell", _cmd_fibers)
+    p.add_argument("--ell", required=True, type=int)
+
+    p = command("prooflab", "entropy-argument audits (bipartite)", _cmd_prooflab)
+    p.add_argument("--ell", required=True, type=int)
+
+    p = command("campaign", "seeded conjecture campaign", _cmd_campaign, graph=False)
+    p.add_argument("--conjecture", choices=["umc", "genminc", "wild"], required=True)
+    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--ell", default=None)
+    p.add_argument("--M", type=int, default=None)
+    p.add_argument("--edge-prob", type=float, default=0.5)
+    p.add_argument("--family", choices=["random", "sharp"], default="random")
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--phi-interp", choices=["gamma", "literal"], default="gamma")
+    p.add_argument("--strict", action="store_true")
+    p.add_argument("--out", default=None)
+
+    return parser
 
 
 def cli_dispatch(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (_UsageError, OSError, ValueError) as exc:  # ParseError is a ValueError

@@ -71,14 +71,14 @@ class MaskProfiler:
         placed = [False] * n
         slot: dict[int, int] = {}  # frontier vertex -> its slot bit
         cands: set[int] = set()  # unplaced neighbours of the frontier
-        used = 0
+        used = start = 0  # every vertex before start is placed
         for _ in range(n):
             if cands:  # net frontier growth, most placed neighbours, index, as one int
                 v = min([(((left[c] > 0) - closes[c]) * n + left[c] - deg[c]) * n + c
                          for c in cands]) % n
                 cands.remove(v)
             else:
-                v = placed.index(False)
+                v = start = placed.index(False, start)
             placed[v] = True
             ubits, done = [], 0
             for u in adj[v]:
@@ -277,20 +277,23 @@ def entropy_bits(probs) -> float:
 # T_j is one int with 2^|X| slots of W bits, slot A at bits [A*W, (A+1)*W).
 # No entry or hit count exceeds prod_x max(d_x, 1) < 2^W, so slots never
 # carry into each other, and a column with X-neighbours xs adds to T, for
-# each x in xs, the slots lacking bit x shifted up by 2^x slots.
+# each x in xs, the slots lacking bit x shifted up by 2^x slots. A backward
+# table is the same DP over the columns taken from the last one down.
 
 @lru_cache(maxsize=4)
 def _lacking(size_x: int, width: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """Per X-vertex x, the table mask of the slots whose index lacks bit x,
-    and two getters that take from a list of slots, as sequences in index
-    order, the slots lacking x and the slots having it."""
-    slots, masks, pickers = list(range(1 << size_x)), [], []
+    and two getters that take those slots from a list of slots, in
+    ascending and in descending index order. Slot A lacking x meets slot
+    X - A - x, and as A ascends over the slots lacking x, X - A - x
+    descends over the same slots."""
+    masks, pickers = [], []
     for x in range(size_x):
         run = width << x >> 3  # bytes: 2^x slots lack x, then 2^x slots have it
         block = b"\xff" * run + bytes(run)
         masks.append(int.from_bytes(block * (1 << (size_x - x - 1)), "little"))
-        lack = [i for i in slots if not i >> x & 1]
-        pickers.append((_getter(lack), _getter([slots[i + (1 << x)] for i in lack])))
+        lack = [i for i in range(1 << size_x) if not i >> x & 1]
+        pickers.append((_getter(lack), _getter(lack[::-1])))
     return tuple(masks), tuple(pickers)
 
 
@@ -302,7 +305,7 @@ def _getter(idx: list[int]):
 def _columns(b: BipartiteGraph):
     """Check the 2^|X| slots of a table against the state cap; return the
     slot width W, the getters of _lacking, and the step that adds a column
-    to a table, or with down=True to a table in reversed slot order."""
+    to a table. A sweep from either end runs the same step."""
     cap, states = _state_cap(), 1 << b.size_x
     if states > cap:
         raise CapExceeded(
@@ -311,11 +314,10 @@ def _columns(b: BipartiteGraph):
     width = 64 * ((math.prod(max(d, 1) for d in b.degrees_x).bit_length() + 63) // 64)
     lacking, pickers = _lacking(b.size_x, width)
 
-    def step(table: int, xs, down: bool = False) -> int:
+    def step(table: int, xs) -> int:
         new = table
         for x in xs:
-            shift = width << x
-            new += (table >> shift) & lacking[x] if down else (table & lacking[x]) << shift
+            new += (table & lacking[x]) << (width << x)
         return new
     return width, pickers, step
 
@@ -377,18 +379,18 @@ def _marginal_table(b: BipartiteGraph) -> MarginalTable | None:
     for x in b.adj_y[last]:
         hits[x][last] = forward[last] >> width * (full ^ 1 << x) & slot
     nbytes, limbs = width << ell >> 3, width >> 6
-    after = 1 << width * full  # slot i holds G(X - i), and G(empty) = 1
+    after = 1  # G(empty) = 1
     later = last  # the nearest column after j with X-neighbours
     for j in reversed(used[1:-1]):
-        after = step(after, b.adj_y[later], down=True)
+        after = step(after, b.adj_y[later])
         later, xs = j, b.adj_y[j]
         f, g = _limbs(forward[j], nbytes, limbs), _limbs(after, nbytes, limbs)
         for a, fa in enumerate(f):
             for c, gc in enumerate(g):
                 for x in xs:
-                    # pair F(A) for A lacking x with G(X - A - x), held at slot A + 2^x
-                    lack, has = pickers[x]
-                    hits[x][j] += sum(map(mul, lack(fa), has(gc))) << 64 * (a + c)
+                    # pair F(A) for A lacking x with G(X - A - x)
+                    up, down = pickers[x]
+                    hits[x][j] += sum(map(mul, up(fa), down(gc))) << 64 * (a + c)
     if first != last:
         for x in b.adj_y[first]:
             hits[x][first] = total - sum(hits[x])

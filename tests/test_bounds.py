@@ -227,6 +227,10 @@ class TestPsi:
                 worst = max(worst, abs(exact - via_gamma))
         assert worst <= 1e-12
 
+    def test_integral_float_degree(self):
+        assert psi(3.0, 2) == psi(3, 2)
+        assert psi(4.0, 1.5) == psi(4, 1.5)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             psi(3, 0)

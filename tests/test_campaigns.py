@@ -109,6 +109,7 @@ class TestConfigRules:
         (GEN, {"n_vertices": 8}, "genminc campaigns take no N, d or list of ell"),
         (GEN, {"ell_values": [2]}, "genminc campaigns take no N, d or list of ell"),
         (UMC, {"family": "sharp"}, "umc campaigns take no sharp family"),
+        (GEN, {"conjecture": "wild", "ell": None}, "wild campaigns need ell and M"),
     ])
     def test_rule_raises_at_construction(self, base, change, message):
         with pytest.raises(ValueError, match=message):
@@ -150,6 +151,15 @@ class TestGenmincCampaign:
         assert [b.degrees_x for b in fam] == [[3] * 140]
         cfg = CampaignConfig(conjecture="genminc", samples=1, seed=0, ell=140,
                              size_y=210, family="sharp")
+        with pytest.raises(CapExceeded, match="column state cap"):
+            run_campaign(cfg)
+
+    def test_sharp_family_walks_long_partitions(self):
+        # the first partition of 1200 has 1200 parts: deeper than the recursion limit
+        fam = _sharp_family(1200, 1200, 1)
+        assert len(fam) == 1 and fam[0].num_edges == 1200
+        cfg = CampaignConfig(conjecture="genminc", samples=1, seed=0, ell=1200,
+                             size_y=1200, family="sharp")
         with pytest.raises(CapExceeded, match="column state cap"):
             run_campaign(cfg)
 

@@ -127,6 +127,7 @@ class TestPlan:
     @example(Graph(1))
     @example(Graph(6))
     @example(Graph(7, [(2, 5), (0, 6), (1, 3), (3, 4), (1, 4)]))
+    @example(Graph(9, [(0, 5), (1, 6), (2, 7), (3, 8), (5, 8)]))  # interleaved components
     def test_matches_rebuilding_planner(self, g):
         assert MaskProfiler(g).plan == greedy_plan(g)
 
