@@ -13,9 +13,8 @@ from .counting import (MarginalTable, MaskProfiler, enumerate_matchings, kdd_pro
                        profile_to_json, saturating_count, umc_extremal_profile)
 from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, Graph, as_bipartite, bipartite_double_cover,
-                     complete_bipartite, cycle_graph, emit_bipartite, emit_edge_list,
-                     emit_graph6, parse_bipartite, parse_edge_list, parse_graph6,
-                     random_regular)
+                     complete_bipartite, cycle_graph, emit_bipartite, emit_graph6,
+                     parse_bipartite, parse_edge_list, parse_graph6, random_regular)
 from .prooflab import (ChainAudit, DistributionAudit, Enumeration,
                        inequality_chain_audit, rk_formula_audit, zx_distribution_audit)
 

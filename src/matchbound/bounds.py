@@ -65,24 +65,25 @@ def bregman_bound(degrees_x) -> float:
     return sum(_psi_term(d, d, 1) for d in degs)
 
 
-def cgt_bound(n_vertices: int, d: int, ell: int) -> float:
-    """(N/2) * [a*log2(d) + H(a)] with a = 2*ell/N, for d-regular graphs."""
+def _dregular_rate(n_vertices: int, d: int, ell: int) -> float:
+    """a = 2*ell/N, once d and ell are checked, for the d-regular formulas."""
     if d < 1:
         raise ValueError("degree must be positive")
     if not 0 <= 2 * ell <= n_vertices:
         raise ValueError(f"need 0 <= 2*ell <= N, got ell={ell}, N={n_vertices}")
-    a = 2 * ell / n_vertices
+    return 2 * ell / n_vertices
+
+
+def cgt_bound(n_vertices: int, d: int, ell: int) -> float:
+    """(N/2) * [a*log2(d) + H(a)] with a = 2*ell/N, for d-regular graphs."""
+    a = _dregular_rate(n_vertices, d, ell)
     return (n_vertices / 2) * (a * math.log2(d) + binary_entropy(a))
 
 
 def umc_extremal_main_term(n_vertices: int, d: int, ell: int) -> float:
     """(N/2) * [a*log2(d) + 2H(a) + a*log2(a/e)]: the extremal count's
     leading behaviour, without the vanishing-in-d correction."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if not 0 <= 2 * ell <= n_vertices:
-        raise ValueError(f"need 0 <= 2*ell <= N, got ell={ell}, N={n_vertices}")
-    a = 2 * ell / n_vertices
+    a = _dregular_rate(n_vertices, d, ell)
     return (n_vertices / 2) * (
         a * math.log2(d) + 2 * binary_entropy(a) + _cover_rate_term(a))
 
@@ -288,6 +289,8 @@ def bound_report(graph_or_bip, ells, graph_id: str = "",
     happens to be 2-colorable gets the bipartite bounds via the canonical
     coloring (lowest vertex of each component on the X side).
     """
+    if phi_interp not in ("gamma", "literal"):
+        raise ValueError(f"unknown interpretation {phi_interp!r}")
     if isinstance(graph_or_bip, BipartiteGraph):
         bip = graph_or_bip
         g = bip.to_graph()

@@ -7,6 +7,7 @@ Per-sample seeds are seed + index, so samples are reproducible in isolation.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -188,43 +189,40 @@ def _random_instance(ell: int, m: int, p: float, seed, sweep):
         "is rejected")
 
 
-def _partitions(n: int, parts: list[int], biggest: int):
-    """The partitions of n into the given ascending parts, none above
-    `biggest`, as non-increasing tuples in lexicographic order. The walk
-    keeps its own stack, so a partition of any length is within reach."""
+def _partitions(n: int):
+    """The partitions of n >= 1 as non-increasing tuples in lexicographic
+    order. The walk keeps its own stack, so a partition of any length is
+    within reach."""
     chosen: list[int] = []  # the parts of the current prefix
-    resume: list[int] = []  # per chosen part, the index of the next part in its place
-    i = 0
-    if n == 0:
-        yield ()
+    k = 1  # the part to try next in the next place
     while True:
-        if i < len(parts) and parts[i] <= min(chosen[-1] if chosen else biggest, n):
-            chosen.append(parts[i])
-            resume.append(i + 1)
-            n -= parts[i]
-            i = 0
+        if k <= min(chosen[-1] if chosen else n, n):
+            chosen.append(k)
+            n -= k
+            k = 1
             if n == 0:
                 yield tuple(chosen)
         elif chosen:
-            n += chosen.pop()
-            i = resume.pop()
+            n += chosen[-1]
+            k = chosen.pop() + 1
         else:
             return
 
 
 def _sharp_family(ell: int, m: int, limit: int) -> list[BipartiteGraph]:
     """Disjoint unions of complete bipartite blocks K_{a, a*M/ell} with part
-    ratios all equal to ell/M; the generalized bound is exact on these. Only
-    the first `limit` partitions are walked."""
-    parts_ok = [a for a in range(1, ell + 1) if (a * m) % ell == 0]
+    ratios all equal to ell/M; the generalized bound is exact on these. With
+    g = gcd(ell, M) such a block exists exactly when ell/g divides a, so the
+    members are the partitions of g, part k scaled to K_{k*ell/g, k*M/g}.
+    Only the first `limit` partitions are walked."""
+    g = math.gcd(ell, m)
     instances = []
     # zip stops at the end of the range before it asks the walk for more
-    for _, parts in zip(range(limit), _partitions(ell, parts_ok, ell)):
+    for _, parts in zip(range(limit), _partitions(g)):
         edges = []
-        x_off = 0
-        y_off = 0
-        for a in parts:
-            b_size = a * m // ell
+        x_off = y_off = 0
+        for k in parts:
+            a, b_size = k * ell // g, k * m // g
             edges.extend((x_off + i, y_off + j)
                          for i in range(a) for j in range(b_size))
             x_off += a

@@ -306,10 +306,10 @@ def _columns(b: BipartiteGraph):
     """Check the 2^|X| slots of a table against the state cap; return the
     slot width W, the getters of _lacking, and the step that adds a column
     to a table. A sweep from either end runs the same step."""
-    cap, states = _state_cap(), 1 << b.size_x
-    if states > cap:
+    cap = _state_cap()
+    if 1 << b.size_x > cap:
         raise CapExceeded(
-            f"column state cap of {cap} exceeded: {states} states at "
+            f"column state cap of {cap} exceeded: 2^{b.size_x} states at "
             f"column 0 of {b.size_y}; raise it with {STATE_CAP_ENV}")
     width = 64 * ((math.prod(max(d, 1) for d in b.degrees_x).bit_length() + 63) // 64)
     lacking, pickers = _lacking(b.size_x, width)
@@ -347,7 +347,7 @@ def matching_marginals(b: BipartiteGraph) -> MarginalTable:
     sum over A of F_j(A) * G_{j+1}(X - A - {x}); p[x][y_j] is that over the total.
     """
     if b.size_x > b.size_y:
-        raise ValueError(f"need ell <= size_y (got {b.size_x} > {b.size_y})")
+        raise ValueError(f"need ell <= size_y, got {b.size_x} > {b.size_y}")
     table = _marginal_table(b)
     if table is None:
         raise ValueError("graph has no X-saturating matching")

@@ -162,12 +162,6 @@ def parse_edge_list(text: str) -> Graph:
     return _build(Graph, n, _edge_lines(lines[1:]))
 
 
-def emit_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse the "B sizeX sizeY m" header + "x y" lines format."""
     lines = [ln for ln in text.splitlines() if ln.strip()]

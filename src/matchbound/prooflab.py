@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .bounds import LOG2E, binary_entropy, log2_int, thm_bipartite_bound
-from .counting import MarginalTable, enumerate_matchings, frac_str
+from .counting import enumerate_matchings, frac_str, matching_marginals
 from .errors import CapExceeded
 from .graphs import BipartiteGraph
 
@@ -28,9 +28,7 @@ MAX_M = 5
 
 
 def _f(t: float) -> float:
-    """(t/(1-t)) * log2(1/t), continuously extended: 0 at t=0, log2(e) at t=1."""
-    if t == 0.0:
-        return 0.0
+    """(t/(1-t)) * log2(1/t) on 0 < t < 1, extended to log2(e) at t = 1."""
     if t == 1.0:
         return LOG2E
     return -(t / (1.0 - t)) * math.log2(t)
@@ -55,8 +53,8 @@ class Enumeration:
                 f"enumeration audits are capped at ell <= {MAX_ELL}, M <= {MAX_M}, "
                 f"got ell = {ell}, M = {b.size_y}; the caps are the fixed constants "
                 "prooflab.MAX_ELL and prooflab.MAX_M, with no knob")
-        if ell > b.size_y:
-            raise ValueError(f"need ell <= size_y, got {ell} > {b.size_y}")
+        # refuses ell > size_y and a graph with no X-saturating matching
+        self.marginals = matching_marginals(b)
         self.b = b
         self.ell = ell
         self.m = b.size_y
@@ -65,14 +63,6 @@ class Enumeration:
         self.fs: list[tuple[int, ...]] = list(
             enumerate_matchings(b.to_graph(), ell, [y for _x, y in b.edges]))
         self.count = len(self.fs)
-        if self.count == 0:
-            raise ValueError("graph has no X-saturating matching")
-        # exact partner marginals from integer partner counts
-        hits = [[0] * self.m for _ in range(ell)]
-        for f in self.fs:
-            for x, y in enumerate(f):
-                hits[x][y] += 1
-        self.marginals = MarginalTable(ell, hits, self.count)
         self.p, self.mu, self.nu = self.marginals.p, self.marginals.mu, self.marginals.nu
         self._by_x: dict[int, tuple] = {}
 

@@ -4,10 +4,11 @@ and the catalog of tiny bipartite instances the proof-lab tests run on.
 These deliberately avoid the library's code paths: closed forms, explicit
 enumerations, and (for graph6) networkx as an external reference encoder,
 the encoder that packed each chunk bit by bit and the decoder that expanded
-each character bit by bit. The seeded G(n, p) generator and the disjoint
-union build test inputs; the library has no use for them. The pairing
-generator on random.shuffle and the eager sharp-family walk are the
-references for the library's own Fisher-Yates and lazy walk.
+each character bit by bit. The seeded G(n, p) generator, the disjoint
+union and the edge-list writer build test inputs; the library has no use
+for them. The pairing generator on random.shuffle and the eager
+sharp-family walk are the references for the library's own Fisher-Yates
+and lazy walk.
 The brute-force profile shares only the library's matching enumerator, the
 dict-keyed column DP is the reference for the library's packed one, and the
 greedy planner that rebuilds its candidates every step is the reference for
@@ -114,6 +115,13 @@ def disjoint_union(graphs) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
     return Graph(total, edges)
+
+
+def emit_edge_list(g: Graph) -> str:
+    """g in the "n m" header + "u v" lines format that parse_edge_list reads."""
+    lines = [f"{g.n} {g.num_edges}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
 
 
 def random_regular_by_shuffle(n: int, d: int, seed) -> Graph:

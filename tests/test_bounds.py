@@ -67,6 +67,39 @@ class TestScalarFunctions:
         assert abs(log2_int(n) - 500 * math.log2(3)) < 1e-9
 
 
+class TestRefusals:
+    """The argument checks of the scalar and closed-form bounds, each pinned
+    to its message."""
+
+    @pytest.mark.parametrize("formula", [cgt_bound, umc_extremal_main_term,
+                                         thm_dregular_bound])
+    def test_dregular_checks(self, formula):
+        with pytest.raises(ValueError, match=r"^degree must be positive$"):
+            formula(4, 0, 1)
+        with pytest.raises(ValueError, match=r"^need 0 <= 2\*ell <= N, got ell=3, N=4$"):
+            formula(4, 2, 3)
+        with pytest.raises(ValueError, match=r"^need 0 <= 2\*ell <= N, got ell=-1, N=4$"):
+            formula(4, 2, -1)
+
+    def test_general_bound_range(self):
+        with pytest.raises(ValueError, match=r"^need 0 <= 2\*ell <= N, got ell=4$"):
+            thm_general_bound(cycle_graph(6), 4)
+
+    def test_log2_int_nonpositive(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=r"^log2 of a nonpositive integer$"):
+                log2_int(n)
+
+    def test_psi_degree(self):
+        for d in (2.5, 0, -1):
+            with pytest.raises(ValueError, match=r"^d must be a positive integer$"):
+                psi(d, 1)
+
+    def test_phi_wild_negative_r(self):
+        with pytest.raises(ValueError, match=r"^need r >= 0$"):
+            phi_wild(-0.5, 0.25)
+
+
 class TestBregman:
     def test_degree_one(self):
         assert bregman_bound([1, 1, 1]) == 0.0
@@ -403,6 +436,31 @@ class TestBoundReport:
             assert rep.entry(name).slack_bits >= -1e-9
         doc = rep.to_json_dict()["entries"][-1]
         assert (doc["applicable"], doc["valueBits"], doc["slackBits"]) == (True, None, None)
+
+    @pytest.mark.parametrize("graph", [cycle_graph(5), complete_bipartite(2, 3)])
+    def test_unknown_phi_reading_refused(self, graph):
+        # refused before any row is built, bipartite input or not
+        with pytest.raises(ValueError, match=r"^unknown interpretation 'bogus'$"):
+            bound_report(graph, [2], phi_interp="bogus")
+
+    def test_profile_refused_by_state_cap(self, monkeypatch):
+        # the frontier DP is refused, so there is no exact count: the formula
+        # rows keep their values without slack, and the wild row, which needs
+        # a count, is inapplicable
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "2")
+        rep = bound_report(complete_bipartite(3, 3), [3])[0]
+        assert (rep.exact_count, rep.exact_log2) == (None, None)
+        doc = rep.to_json_dict()
+        assert (doc["exactCount"], doc["exactLog2Bits"]) == (None, None)
+        assert [e.name for e in rep.entries] == [
+            "cgt", "dregular", "general", "bregman", "bipartite", "genminc", "wild-gamma"]
+        for entry in rep.entries[:-1]:
+            assert entry.applicable and entry.value_bits is not None
+            assert entry.slack_bits is None
+        assert rep.entry("bregman").value_bits == bregman_bound([3, 3, 3])
+        assert rep.entry("genminc").value_bits == genminc_bound(complete_bipartite(3, 3))
+        wild = rep.entry("wild-gamma")
+        assert (wild.applicable, wild.value_bits) == (False, None)
 
     def test_json_shape(self):
         doc = bound_report(cycle_graph(6), [2], graph_id="C6")[0].to_json_dict()

@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matchbound
-from matchbound import (Graph, complete_bipartite, cycle_graph, emit_bipartite,
-                        emit_edge_list, emit_graph6)
+from matchbound import Graph, complete_bipartite, cycle_graph, emit_bipartite, emit_graph6
 from matchbound.cli import _json_text, main
+from oracles import emit_edge_list
 
 C6_EDGES = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 K33_EDGES = ("6 9\n" + "\n".join(f"{x} {3 + y}" for x in range(3) for y in range(3))
@@ -166,6 +166,31 @@ class TestAudits:
         assert "ell must lie in 0..N/2 = 0..2" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["count"], "0 1\n1 4\n2 3\n"),
+        (["double-cover"], "B 5 5 8\n0 2\n0 3\n1 3\n1 4\n2 0\n3 0\n3 1\n4 1\n"),
+        (["fibers", "--ell", "2"], None),
+    ])
+    def test_bipartite_input_flattened(self, bip_file, tmp_path, argv, stdout, capsys):
+        # X keeps its indices and Y-vertex y becomes |X| + y, as in this edge list
+        flat = tmp_path / "example.edges"
+        flat.write_text("5 4\n0 2\n0 3\n1 3\n1 4\n")
+        assert main([argv[0], "--graph", bip_file, *argv[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert main([argv[0], "--graph", str(flat), *argv[1:]]) == 0
+        assert out == capsys.readouterr().out.replace(str(flat), bip_file)
+        if stdout is None:
+            assert json.loads(out)["passed"] is True
+        else:
+            assert out == stdout
+
+    def test_prooflab_ell_above_size_y(self, tmp_path, capsys):
+        path = tmp_path / "tall.bip"
+        path.write_text("B 3 2 6\n0 0\n0 1\n1 0\n1 1\n2 0\n2 1\n")
+        assert main(["prooflab", "--graph", str(path), "--ell", "3"]) == 1
+        assert capsys.readouterr() == ("", "error: need ell <= size_y, got 3 > 2\n")
+
     def test_prooflab(self, bip_file, capsys):
         assert main(["prooflab", "--graph", bip_file, "--ell", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -298,6 +323,21 @@ class TestExitCodes:
         assert err.rstrip().endswith("raise it with MATCHBOUND_STATE_CAP")
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert main(["marginals", "--graph", str(path), "--ell", "6"]) == 0
+
+    def test_prooflab_state_cap(self, bip_file, monkeypatch, capsys):
+        # the proof lab's marginals come from the column DP: 2^|X| = 4 slots
+        argv = ["prooflab", "--graph", bip_file, "--ell", "2"]
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "3")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "infeasible: column state cap of 3 exceeded: 2^2 states at column 0 of 3; "
+            "raise it with MATCHBOUND_STATE_CAP\n"))
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "abc")
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: MATCHBOUND_STATE_CAP must be an integer, got 'abc'\n")
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
+        assert main(argv) == 0
 
     def test_memo_cap_env(self, tmp_path, monkeypatch, capsys):
         # The retired MATCHBOUND_MEMO_CAP caps nothing; the state cap does.

@@ -219,6 +219,12 @@ class TestKddProfile:
             disjoint_union([complete_bipartite(3, 3).to_graph()] * 2))
         assert umc_extremal_profile(8, 2)[:3] == [1, 8, 20]
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"^d must be positive$"):
+            kdd_profile(0)
+        with pytest.raises(ValueError, match=r"^degree must be positive$"):
+            umc_extremal_profile(8, 0)
+
 
 class TestSerialization:
     def test_round_trip_preserves_precision(self):
@@ -310,7 +316,7 @@ class TestColumnDP:
     def test_state_cap(self, monkeypatch):
         b = complete_bipartite(6, 6)
         monkeypatch.setenv("MATCHBOUND_STATE_CAP", "4")
-        message = (r"column state cap of 4 exceeded: \d+ states at column \d+ of 6; "
+        message = (r"column state cap of 4 exceeded: 2\^6 states at column 0 of 6; "
                    r"raise it with MATCHBOUND_STATE_CAP")
         with pytest.raises(CapExceeded, match=message):
             saturating_count(b)
@@ -395,7 +401,7 @@ class TestColumnDPOracle:
         assert saturating_count(b) == math.perm(m, ell)
         assert matching_marginals(b).total == math.perm(m, ell)
         monkeypatch.setenv("MATCHBOUND_STATE_CAP", str((1 << ell) - 1))
-        message = (f"column state cap of {(1 << ell) - 1} exceeded: {1 << ell} states "
+        message = (f"column state cap of {(1 << ell) - 1} exceeded: 2^{ell} states "
                    f"at column 0 of {m}; raise it with MATCHBOUND_STATE_CAP")
         for count in (saturating_count, matching_marginals):
             with pytest.raises(CapExceeded) as info:

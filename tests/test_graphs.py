@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 import matchbound
 from matchbound import (BipartiteGraph, CapExceeded, Graph, ParseError, as_bipartite,
                         bipartite_double_cover, complete_bipartite, cycle_graph,
-                        emit_bipartite, emit_edge_list, emit_graph6,
+                        emit_bipartite, emit_graph6,
                         matching_profile, parse_bipartite, parse_edge_list,
                         parse_graph6, random_regular, umc_extremal_profile)
-from oracles import (as_bipartite_by_lists, disjoint_union, emit_graph6_by_bits,
-                     parse_graph6_by_bits, random_graph, random_regular_by_shuffle)
+from oracles import (as_bipartite_by_lists, disjoint_union, emit_edge_list,
+                     emit_graph6_by_bits, parse_graph6_by_bits, random_graph,
+                     random_regular_by_shuffle)
 
 # (n, d, seed, graph6 of random_regular(n, d, seed)), recorded with the
 # encoder kept as oracles.emit_graph6_by_bits: seeded graphs stay the same
@@ -87,6 +88,24 @@ class TestBipartiteFormat:
             parse_bipartite("B 2 2 1\n0 2")
         with pytest.raises(ParseError, match="duplicate"):
             parse_bipartite("B 2 2 2\n0 0\n0 0")
+
+
+class TestLineFormatRefusals:
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_edge_list, " \n\n", "empty input"),
+        (parse_bipartite, "", "empty input"),
+        (parse_edge_list, "a 1\n0 1", "malformed header: 'a 1'"),
+        (parse_bipartite, "B 2 x 1\n0 0", "malformed bipartite header: 'B 2 x 1'"),
+        (parse_edge_list, "0 1\n0 1", "bad sizes in header: n=0, m=1"),
+        (parse_edge_list, "3 -1", "bad sizes in header: n=3, m=-1"),
+        (parse_bipartite, "B 0 2 1\n0 0", "bad sizes in header: 'B 0 2 1'"),
+        (parse_bipartite, "B 2 2 2\n0 0", "expected 2 edge lines, found 1"),
+        (parse_bipartite, "B 2 2 0\n0 0", "expected 0 edge lines, found 1"),
+    ])
+    def test_message(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
 
 
 class TestGraph6:
@@ -317,6 +336,11 @@ class TestRandomRegular:
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError):
             random_regular(5, 3, seed=0)
+
+    @pytest.mark.parametrize("n, d", [(4, 4), (3, 4), (2, -2)])
+    def test_degree_out_of_range(self, n, d):
+        with pytest.raises(ValueError, match=r"^need 0 <= d < n$"):
+            random_regular(n, d, seed=0)
 
     def test_k4_is_forced(self):
         for seed in range(10):

@@ -211,12 +211,17 @@ class TestEnumerationOrder:
 
 class TestEnumerationAgainstMarginals:
     def test_dual_route_probabilities(self):
-        # enumeration frequencies versus the deletion-count rationals
+        # partner frequencies over the enumerated matchings versus the column
+        # DP's rationals, which the audits read
         for b, ell in CATALOG[:40]:
             enum = Enumeration(b)
-            table = matching_marginals(b)
-            assert enum.p == table.p
-            assert enum.mu == table.mu
+            hits = [[0] * b.size_y for _ in range(ell)]
+            for f in enum.fs:
+                for x, y in enumerate(f):
+                    hits[x][y] += 1
+            assert enum.count == matching_marginals(b).total
+            assert enum.p == [[Fraction(c, enum.count) for c in row] for row in hits]
+            assert enum.mu == [Fraction(sum(col), enum.count) for col in zip(*hits)]
 
 
 class TestCatalog:
