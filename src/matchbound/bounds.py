@@ -20,6 +20,7 @@ from .graphs import BipartiteGraph, Graph, as_bipartite
 
 LOG2E = math.log2(math.e)
 LN2 = math.log(2)
+PHI_READINGS = ("gamma", "literal")  # of phi_wild's second term; the first is the default
 
 
 def log2_int(n: int) -> float:
@@ -193,13 +194,11 @@ def phi_wild(r: float, t: float, interp: str = "gamma") -> float:
     cap = 2.0 ** r
     if not 0 < t <= cap:
         raise ValueError(f"need 0 < t <= 2^r, got t={t}, 2^r={cap}")
-    lead = math.lgamma(cap + 1.0) / LN2
-    if interp == "gamma":
-        tail = math.lgamma(cap - t + 1.0) / LN2
-    elif interp == "literal":
-        tail = math.log2(cap - t + 1.0)
-    else:
+    if interp not in PHI_READINGS:
         raise ValueError(f"unknown interpretation {interp!r}")
+    lead = math.lgamma(cap + 1.0) / LN2
+    tail = (math.lgamma(cap - t + 1.0) / LN2 if interp == "gamma"
+            else math.log2(cap - t + 1.0))
     return (lead - tail) / t
 
 
@@ -289,7 +288,7 @@ def bound_report(graph_or_bip, ells, graph_id: str = "",
     happens to be 2-colorable gets the bipartite bounds via the canonical
     coloring (lowest vertex of each component on the X side).
     """
-    if phi_interp not in ("gamma", "literal"):
+    if phi_interp not in PHI_READINGS:
         raise ValueError(f"unknown interpretation {phi_interp!r}")
     if isinstance(graph_or_bip, BipartiteGraph):
         bip = graph_or_bip

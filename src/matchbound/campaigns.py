@@ -12,11 +12,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bounds import genminc_bound, log2_int, wild_bound
+from .bounds import PHI_READINGS, genminc_bound, log2_int, wild_bound
 from .counting import (_marginal_table, matching_profile, saturating_count,
                        umc_extremal_profile)
 from .errors import CapExceeded
-from .graphs import BipartiteGraph, emit_bipartite, emit_graph6, random_regular
+from .graphs import (BipartiteGraph, check_vertex_count, emit_bipartite, emit_graph6,
+                     random_regular)
 
 SLACK_EPS = 1e-9
 SHARP_THRESHOLD = 0.01
@@ -69,10 +70,11 @@ class CampaignConfig:
                 raise ValueError(f"need 1 <= ell <= M, got ell={ell}, M={m}")
         if self.family not in ("random", "sharp"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.phi_interp not in ("gamma", "literal"):
+        if self.phi_interp not in PHI_READINGS:
             raise ValueError(f"unknown interpretation {self.phi_interp!r}")
         if not 0 <= self.edge_prob <= 1:  # NaN fails the comparison too
             raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
+        check_vertex_count(self.n_vertices or self.ell + self.size_y)  # a sample's vertices
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,9 +179,8 @@ def _random_instance(ell: int, m: int, p: float, seed, sweep):
     for _ in range(GENERATOR_RETRY_CAP):
         edges = [(x, y) for x in range(ell) for y in range(m) if rng.random() < p]
         cand = BipartiteGraph(ell, m, edges)
-        if min(cand.degrees_x) < 1:
-            continue
-        found = sweep(cand)  # 0 or None when there is no X-saturating matching
+        # 0 or None without an X-saturating matching: an isolated X-vertex leaves none
+        found = sweep(cand)
         if found:
             return cand, found
     raise CapExceeded(

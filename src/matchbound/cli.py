@@ -11,7 +11,7 @@ import functools
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .bounds import bound_report, reports_to_csv
+from .bounds import PHI_READINGS, bound_report, reports_to_csv
 from .campaigns import CampaignConfig, run_campaign
 from .correspondence import verify_fibers
 from .counting import matching_marginals, matching_profile, profile_to_json
@@ -36,6 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the default --format by the --graph path's ending; any other path, "-" too, is "edges"
+SUFFIX_FORMATS = ((".g6", "g6"), (".bip", "bipartite"), (".bg", "bipartite"))
+
+
 def _read_graph(args, want):
     """The --graph input in --format (default: from the extension), and its
     name. want=Graph flattens a bipartite input, want=None keeps the input as
@@ -56,18 +60,10 @@ def _read_graph(args, want):
     except OSError as exc:
         raise _UsageError(f"cannot read --graph {path}: {exc.strerror or exc}") from None
     if fmt is None:
-        if path.endswith(".g6"):
-            fmt = "g6"
-        elif path.endswith((".bip", ".bg")):
-            fmt = "bipartite"
-        else:
-            fmt = "edges"
-    if fmt == "g6":
-        g = parse_graph6(text)
-    elif fmt == "bipartite":
-        g = parse_bipartite(text)
-    else:
-        g = parse_edge_list(text)
+        fmt = next((f for suffix, f in SUFFIX_FORMATS if path.endswith(suffix)), "edges")
+    # looked up at each call, so that a parser replaced on the module is used
+    parse = {"g6": parse_graph6, "bipartite": parse_bipartite, "edges": parse_edge_list}
+    g = parse[fmt](text)
     if want is Graph and isinstance(g, BipartiteGraph):
         g = g.to_graph()
     elif want is BipartiteGraph:
@@ -245,7 +241,7 @@ def build_parser() -> _Parser:
     layout = p.add_mutually_exclusive_group()
     layout.add_argument("--json", action="store_true")
     layout.add_argument("--csv", action="store_true")
-    p.add_argument("--phi-interp", choices=["gamma", "literal"], default="gamma")
+    p.add_argument("--phi-interp", choices=PHI_READINGS, default="gamma")
 
     p = command("marginals", "exact matching marginals (bipartite)", _cmd_marginals)
     p.add_argument("--ell", required=True, type=int)
@@ -268,7 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=["random", "sharp"], default="random")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi-interp", choices=["gamma", "literal"], default="gamma")
+    p.add_argument("--phi-interp", choices=PHI_READINGS, default="gamma")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
 

@@ -50,8 +50,8 @@ class MaskProfiler:
     k-subsets of E, so it is at most 2^|E| < 2^B and additions never carry
     between coefficients. Matching one more edge is a shift by B.
 
-    The number of live states is capped by MATCHBOUND_STATE_CAP; `memo`
-    holds the widest frontier table of the last sweep.
+    The number of live states is capped by MATCHBOUND_STATE_CAP; `memo` is
+    a range as long as the widest frontier table of the last sweep.
     """
 
     __slots__ = ("n", "shift", "plan", "cap", "memo")
@@ -61,7 +61,7 @@ class MaskProfiler:
         self.n = g.n
         self.shift = g.num_edges + 1
         self.cap = _state_cap()
-        self.memo: dict[int, int] = {0: 1}
+        self.memo = range(1)
         # per step: (slot bit of v or 0, slot bits of its placed neighbours, keep mask)
         self.plan = []
         n, deg = g.n, [len(a) for a in adj]
@@ -103,7 +103,7 @@ class MaskProfiler:
     def profile(self) -> list[int]:
         """[count of 0-matchings, ..., count of floor(n/2)-matchings]."""
         shift, cap, n = self.shift, self.cap, self.n
-        table = self.memo = {0: 1}
+        table, self.memo = {0: 1}, range(1)
         for i, (vbit, ubits, keep) in enumerate(self.plan):
             # when v forgets no vertex, its unmatched move merges no states
             new = {key | vbit: val for key, val in table.items()} if keep == -1 else {}
@@ -122,7 +122,7 @@ class MaskProfiler:
                     f"frontier state cap of {cap} exceeded: {len(new)} states at "
                     f"sweep step {i + 1} of {n}; raise it with {STATE_CAP_ENV}")
             if len(new) > len(self.memo):
-                self.memo = new
+                self.memo = range(len(new))
             table = new
         packed, mask = table[0], (1 << shift) - 1
         return [(packed >> (k * shift)) & mask for k in range(n // 2 + 1)]

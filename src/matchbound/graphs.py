@@ -14,15 +14,22 @@ from itertools import compress
 
 from .errors import CapExceeded, ParseError
 
-GRAPH6_MAX_N = 258047  # 1- and 4-byte size headers only
+GRAPH6_MAX_N = 258047  # 1- and 4-byte size headers only; the vertex cap of every graph
 REGULAR_RETRY_CAP = 10 ** 6  # whole pairings random_regular draws before giving up
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse more than GRAPH6_MAX_N vertices, so every graph can be written as graph6."""
+    if n > GRAPH6_MAX_N:
+        raise CapExceeded(f"{n} vertices exceed the vertex cap of {GRAPH6_MAX_N}; the cap "
+                          "is the fixed constant graphs.GRAPH6_MAX_N, with no knob")
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    No loops, no parallel edges. Isolated vertices are allowed here;
-    bound evaluators reject them separately.
+    No loops, no parallel edges, at most GRAPH6_MAX_N vertices. Isolated
+    vertices are allowed here; bound evaluators reject them separately.
     """
 
     __slots__ = ("n", "edges", "adj")
@@ -30,6 +37,7 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
+        check_vertex_count(n)
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -69,7 +77,7 @@ class Graph:
 class BipartiteGraph:
     """Bipartite graph with explicit parts X (0..size_x-1) and Y (0..size_y-1).
 
-    Edges are (x, y) pairs crossing the bipartition.
+    Edges are (x, y) pairs crossing the bipartition; GRAPH6_MAX_N vertices at most.
     """
 
     __slots__ = ("size_x", "size_y", "edges", "adj_x", "adj_y")
@@ -77,6 +85,7 @@ class BipartiteGraph:
     def __init__(self, size_x: int, size_y: int, edges=()):
         if size_x < 1 or size_y < 1:
             raise ValueError("both parts need at least one vertex")
+        check_vertex_count(size_x + size_y)
         seen = set()
         for x, y in edges:
             if not (0 <= x < size_x and 0 <= y < size_y):
@@ -124,61 +133,45 @@ class BipartiteGraph:
 # edge-list and bipartite text formats
 # ---------------------------------------------------------------------------
 
-def _edge_lines(lines) -> list[tuple[int, int]]:
-    """Two integers per line; the graph constructors check the values."""
+def _parse_lines(text: str, cls, tag: list[str], parts: int):
+    """The line formats: a header of tag, `parts` part sizes and the edge
+    count m, then m lines "u v". cls builds the graph, so it refuses the
+    sizes and the edges; m is refused here, since no constructor sees it."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty input")
+    head, k = lines[0].split(), len(tag)
+    try:
+        if head[:k] != tag or len(head) != k + parts + 1:
+            raise ValueError
+        *sizes, m = map(int, head[k:])
+    except ValueError:
+        raise ParseError(f"malformed header: {lines[0]!r}") from None
+    if m < 0:
+        raise ParseError(f"bad sizes in header: {lines[0]!r}")
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    for ln in lines:
+    for ln in lines[1:]:
         try:
             u, v = map(int, ln.split())
         except ValueError:
             raise ParseError(f"malformed edge line: {ln!r}") from None
         edges.append((u, v))
-    return edges
-
-
-def _build(cls, *args):
     try:
-        return cls(*args)
+        return cls(*sizes, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header + "u v" lines format."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"malformed header: {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"malformed header: {lines[0]!r}") from None
-    if n < 1 or m < 0:
-        raise ParseError(f"bad sizes in header: n={n}, m={m}")
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    return _build(Graph, n, _edge_lines(lines[1:]))
+    return _parse_lines(text, Graph, [], 1)
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse the "B sizeX sizeY m" header + "x y" lines format."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty input")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "B":
-        raise ParseError(f"malformed bipartite header: {lines[0]!r}")
-    try:
-        size_x, size_y, m = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(f"malformed bipartite header: {lines[0]!r}") from None
-    if size_x < 1 or size_y < 1 or m < 0:
-        raise ParseError(f"bad sizes in header: {lines[0]!r}")
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    return _build(BipartiteGraph, size_x, size_y, _edge_lines(lines[1:]))
+    return _parse_lines(text, BipartiteGraph, ["B"], 2)
 
 
 def emit_bipartite(b: BipartiteGraph) -> str:
@@ -192,9 +185,7 @@ def emit_bipartite(b: BipartiteGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def emit_graph6(g: Graph) -> str:
-    n = g.n
-    if n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 emitter supports n <= {GRAPH6_MAX_N}")
+    n = g.n  # at most GRAPH6_MAX_N: the constructor refuses more
     edges = set(g.edges)
     bits = "".join("1" if e in edges else "0"
                    for e in (_g6_pairs(n) if n <= 62 else _upper_triangle(n)))
@@ -203,7 +194,10 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    """One graph6 string. A line after it is refused once the first line
+    reads as a graph, so a text in another format is refused for that."""
+    s, _, more = text.strip().partition("\n")
+    s = s.rstrip()  # the "\r" of a "\r\n" line end
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
@@ -230,6 +224,9 @@ def parse_graph6(text: str) -> Graph:
     bits = _g6_bits(body, "body")
     if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 body")
+    if more:
+        raise ParseError("graph6 input holds more than one graph, one per line; "
+                         "this command reads one")
     pairs = _g6_pairs(n) if n <= 62 else _upper_triangle(n)
     return Graph(n, compress(pairs, bits.encode().translate(_BIT_BYTES)))
 

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from matchbound import (CampaignConfig, CapExceeded, bregman_bound, genminc_bound,
+from matchbound import (BipartiteGraph, CampaignConfig, CapExceeded, bregman_bound, genminc_bound,
                         log2_int, matching_marginals, matching_profile, parse_bipartite,
                         parse_graph6, run_campaign, umc_extremal_profile, wild_bound)
-from matchbound.campaigns import _sharp_family
+import matchbound
+from matchbound.campaigns import _random_instance, _sharp_family
+from matchbound.counting import _marginal_table, saturating_count
 from matchbound.cli import main
-from oracles import cycle_profile, sharp_family_by_descent
+from oracles import cycle_profile, random_instance_rejecting_isolated, sharp_family_by_descent
 
 UMC_CORPUS = json.loads(
     (Path(__file__).parent / "data" / "umc_reports.json").read_text())["umc"]
@@ -118,6 +120,50 @@ class TestConfigRules:
     @pytest.mark.parametrize("edge_prob", [0.0, 1.0])
     def test_edge_prob_endpoints_allowed(self, edge_prob):
         CampaignConfig(**{**self.GEN, "edge_prob": edge_prob})
+
+    @pytest.mark.parametrize("base, change, n", [
+        (UMC, {}, 8),
+        (UMC, {"n_vertices": 12, "ell_values": [1]}, 12),
+        (GEN, {"size_y": 6}, 8),
+        (GEN, {"conjecture": "wild", "ell": 5, "size_y": 5}, 10),
+    ])
+    def test_sample_size_refused_by_vertex_cap(self, base, change, n, monkeypatch):
+        # a sample holds N, or ell + M, vertices; refused before any is drawn
+        monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 7)
+        with pytest.raises(CapExceeded) as info:
+            CampaignConfig(**{**base, **change})
+        assert str(info.value) == (f"{n} vertices exceed the vertex cap of 7; the cap "
+                                   "is the fixed constant graphs.GRAPH6_MAX_N, with no knob")
+
+    def test_vertex_cap_itself_allowed(self, monkeypatch):
+        monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 8)
+        CampaignConfig(**self.UMC)
+        CampaignConfig(**{**self.GEN, "ell": 3, "size_y": 5})
+
+    def test_usage_errors_before_the_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 3)
+        with pytest.raises(ValueError, match="edge probability"):
+            CampaignConfig(**{**self.GEN, "edge_prob": 2.0})
+
+
+class TestIsolatedDraws:
+    """A draw with an isolated X-vertex has no X-saturating matching, so the
+    sweep rejects it; no separate degree check runs first."""
+
+    def test_sweeps_find_nothing(self):
+        b = BipartiteGraph(3, 4, [(0, 0), (0, 1), (2, 3)])
+        assert saturating_count(b) == 0
+        assert _marginal_table(b) is None
+
+    @pytest.mark.parametrize("sweep", [saturating_count, _marginal_table])
+    @pytest.mark.parametrize("ell, m, p", [(3, 4, 0.3), (6, 9, 0.5), (2, 2, 0.2)])
+    def test_same_instances_as_the_degree_check(self, sweep, ell, m, p):
+        for seed in range(40):
+            cand, found = _random_instance(ell, m, p, seed, sweep)
+            ref, ref_found = random_instance_rejecting_isolated(ell, m, p, seed, sweep)
+            assert cand == ref
+            assert (found == ref_found if sweep is saturating_count
+                    else (found.total, found.hits) == (ref_found.total, ref_found.hits))
 
 
 class TestGenmincCampaign:

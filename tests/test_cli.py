@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import matchbound
 from matchbound import Graph, complete_bipartite, cycle_graph, emit_bipartite, emit_graph6
-from matchbound.cli import _json_text, main
+from matchbound.bounds import PHI_READINGS
+from matchbound.cli import _json_text, build_parser, main
 from oracles import emit_edge_list
 
 C6_EDGES = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -93,6 +94,43 @@ class TestCount:
         monkeypatch.setattr("sys.stdin", io.StringIO(C6_EDGES))
         assert main(["count", "--graph", "-"]) == 0
         assert "2 9" in capsys.readouterr().out
+
+
+class TestFormatTable:
+    """--format defaults from how the --graph path ends: .g6 is graph6, .bip
+    and .bg are bipartite, and anything else, stdin included, is an edge list."""
+
+    @pytest.mark.parametrize("name, fmt", [
+        ("x.g6", "g6"), ("x.bip", "bipartite"), ("x.bg", "bipartite"),
+        ("x.edges", "edges"), ("-", "edges"), ("g6", "edges"), (".g6", "g6"),
+        ("bip", "edges"), (".bg", "bipartite"), ("x.g6.txt", "edges"),
+        ("x.G6", "edges"),
+    ])
+    def test_default_by_name(self, name, fmt, tmp_path, monkeypatch, capsys):
+        assert self._chosen(name, [], tmp_path, monkeypatch, capsys) == [fmt]
+
+    @pytest.mark.parametrize("name, fmt", [("x.g6", "edges"), ("x.edges", "bipartite"),
+                                           ("-", "g6")])
+    def test_flag_overrides_name(self, name, fmt, tmp_path, monkeypatch, capsys):
+        assert self._chosen(name, ["--format", fmt], tmp_path, monkeypatch,
+                            capsys) == [fmt]
+
+    @staticmethod
+    def _chosen(name, flags, tmp_path, monkeypatch, capsys):
+        """The formats whose parsers ran, each replaced on the cli module as a
+        tracer replaces it: the parser is looked up at each call."""
+        chosen = []
+        for fmt, attr in (("g6", "parse_graph6"), ("bipartite", "parse_bipartite"),
+                          ("edges", "parse_edge_list")):
+            monkeypatch.setattr(matchbound.cli, attr,
+                                lambda text, fmt=fmt: chosen.append(fmt) or cycle_graph(3))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        if name != "-":
+            (tmp_path / name).write_text("")
+        assert main(["count", "--graph", name, *flags]) == 0
+        assert capsys.readouterr().out == "0 1\n1 3\n"
+        return chosen
 
 
 class TestBounds:
@@ -411,6 +449,13 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", ["bounds", "campaign"])
+    def test_phi_readings_listed_once(self, command):
+        parser = build_parser()._subparsers._group_actions[0].choices[command]
+        (action,) = [a for a in parser._actions if a.dest == "phi_interp"]
+        assert action.choices is PHI_READINGS
+        assert action.default == PHI_READINGS[0]
+
 
 class TestCapMessages:
     """Every feasibility cap exits 2 with a message that gives the value
@@ -453,6 +498,33 @@ class TestCapMessages:
             "cap is the fixed constant campaigns.GENERATOR_RETRY_CAP, so raise "
             "--edge-prob: a draw with an isolated X-vertex or no X-saturating matching "
             "is rejected\n")
+
+    @pytest.mark.parametrize("fmt, text, n", [("edges", "100000000 0\n", 100000000),
+                                              ("bipartite", "B 1 100000000 0\n", 100000001)])
+    def test_vertex_cap_before_allocation(self, fmt, text, n, monkeypatch, capsys):
+        # refused by the constructor before any adjacency list is built
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert self._run(["count", "--graph", "-", "--format", fmt], capsys) == (
+            f"infeasible: {n} vertices exceed the vertex cap of 258047; the cap is the "
+            "fixed constant graphs.GRAPH6_MAX_N, with no knob\n")
+
+    @pytest.mark.parametrize("argv, n", [
+        (["--conjecture", "genminc", "--ell", "1", "--M", "1000000"], 1000001),
+        (["--conjecture", "umc", "--N", "1000000", "--d", "1"], 1000000),
+    ])
+    def test_campaign_vertex_cap(self, argv, n, capsys):
+        assert self._run(["campaign", *argv], capsys) == (
+            f"infeasible: {n} vertices exceed the vertex cap of 258047; the cap is the "
+            "fixed constant graphs.GRAPH6_MAX_N, with no knob\n")
+
+    def test_double_cover_vertex_cap(self, tmp_path, monkeypatch, capsys):
+        # the cover has 2n vertices: with the real cap, n > 129023 is refused
+        monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 9)
+        path = tmp_path / "c5.edges"
+        path.write_text(emit_edge_list(cycle_graph(5)))
+        assert self._run(["double-cover", "--graph", str(path)], capsys) == (
+            "infeasible: 10 vertices exceed the vertex cap of 9; the cap is the "
+            "fixed constant graphs.GRAPH6_MAX_N, with no knob\n")
 
     def test_random_regular_attempts(self, monkeypatch, capsys):
         monkeypatch.setattr(matchbound.graphs, "REGULAR_RETRY_CAP", 3)

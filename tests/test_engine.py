@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from matchbound import (BipartiteGraph, Graph, complete_bipartite, cycle_graph,
                         matching_marginals, matching_profile, parse_graph6,
-                        saturating_count, umc_extremal_profile)
+                        random_regular, saturating_count, umc_extremal_profile)
 from matchbound.counting import MaskProfiler
 from oracles import (cycle_profile, disjoint_union, greedy_plan,
                      matching_profile_bruteforce)
@@ -154,6 +154,27 @@ class TestPackingBoundaries:
         # C(m, k) comes closest to the 2^|E| bound that makes packing carry-free
         g = disjoint_union([Graph(2, [(0, 1)])] * m)
         assert matching_profile(g) == [math.comb(m, k) for k in range(m + 1)]
+
+
+class TestPeakStates:
+    """len(engine.memo) is the peak state count of the last sweep, which the
+    benchmark's traced counting.states sums; the values were read when memo
+    still held the widest table itself."""
+
+    @pytest.mark.parametrize("graph, peak", [
+        (cycle_graph(100), 4),
+        (random_regular(18, 4, 0), 64),
+        (random_regular(22, 3, 1), 56),
+        (random_regular(32, 3, 2), 112),
+        (complete_bipartite(4, 4).to_graph(), 15),
+        (Graph(5), 1),
+    ])
+    def test_recorded_peak(self, graph, peak):
+        engine = MaskProfiler(graph)
+        assert len(engine.memo) == 1
+        for _ in range(2):  # each sweep starts its count afresh
+            engine.profile()
+            assert len(engine.memo) == peak
 
 
 class TestBeyond64Vertices:

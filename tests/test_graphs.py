@@ -95,10 +95,10 @@ class TestLineFormatRefusals:
         (parse_edge_list, " \n\n", "empty input"),
         (parse_bipartite, "", "empty input"),
         (parse_edge_list, "a 1\n0 1", "malformed header: 'a 1'"),
-        (parse_bipartite, "B 2 x 1\n0 0", "malformed bipartite header: 'B 2 x 1'"),
-        (parse_edge_list, "0 1\n0 1", "bad sizes in header: n=0, m=1"),
-        (parse_edge_list, "3 -1", "bad sizes in header: n=3, m=-1"),
-        (parse_bipartite, "B 0 2 1\n0 0", "bad sizes in header: 'B 0 2 1'"),
+        (parse_bipartite, "B 2 x 1\n0 0", "malformed header: 'B 2 x 1'"),
+        (parse_edge_list, "0 1\n0 1", "graph needs at least one vertex"),
+        (parse_edge_list, "3 -1", "bad sizes in header: '3 -1'"),
+        (parse_bipartite, "B 0 2 1\n0 0", "both parts need at least one vertex"),
         (parse_bipartite, "B 2 2 2\n0 0", "expected 2 edge lines, found 1"),
         (parse_bipartite, "B 2 2 0\n0 0", "expected 0 edge lines, found 1"),
     ])
@@ -106,6 +106,71 @@ class TestLineFormatRefusals:
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_edge_list, "B 2 2 0"),     # the other format's header
+        (parse_bipartite, "2 0"),
+        (parse_bipartite, "A 2 2 0"),     # another tag
+        (parse_bipartite, "B 2 2"),       # a size short
+        (parse_edge_list, "2 0 0"),       # a size too many
+        (parse_edge_list, "2"),
+        (parse_bipartite, "B"),
+    ])
+    def test_one_header_message_for_both_formats(self, parse, text):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"malformed header: {text!r}"
+
+    @pytest.mark.parametrize("parse, text", [(parse_edge_list, "-2 1\n0 1"),
+                                             (parse_bipartite, "B 1 -1 0")])
+    def test_constructor_refuses_negative_sizes(self, parse, text):
+        with pytest.raises(ParseError, match="at least one vertex"):
+            parse(text)
+
+    @pytest.mark.parametrize("parse, text", [(parse_edge_list, "0 -1"),
+                                             (parse_bipartite, "B 0 2 -1")])
+    def test_negative_edge_count_refused_first(self, parse, text):
+        # no constructor sees m, so the reader refuses it before the sizes
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"bad sizes in header: {text!r}"
+
+
+class TestVertexCap:
+    """Every graph holds at most GRAPH6_MAX_N vertices, refused by the
+    constructors before any list is built."""
+
+    MESSAGE = ("{} vertices exceed the vertex cap of 5; the cap is the fixed "
+               "constant graphs.GRAPH6_MAX_N, with no knob")
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 5)
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: Graph(6), 6),
+        (lambda: BipartiteGraph(3, 3), 6),
+        (lambda: BipartiteGraph(1, 5, [(0, 4)]), 6),
+        (lambda: parse_edge_list("6 0"), 6),
+        (lambda: parse_edge_list("10 1\n0 1"), 10),
+        (lambda: parse_bipartite("B 1 8 0"), 9),
+        (lambda: bipartite_double_cover(cycle_graph(3)), 6),
+        (lambda: random_regular(6, 2, 0), 6),
+    ])
+    def test_refused_with_its_size(self, build, n):
+        with pytest.raises(CapExceeded) as info:
+            build()
+        assert str(info.value) == self.MESSAGE.format(n)
+
+    def test_cap_itself_allowed(self):
+        assert Graph(5).n == 5
+        assert BipartiteGraph(2, 3).to_graph().n == 5
+        assert emit_graph6(parse_edge_list("5 0")) == "D??"
+
+    def test_sizes_refused_before_the_edges_are_read(self):
+        # an edge out of range would be a ParseError; the size comes first
+        with pytest.raises(CapExceeded):
+            parse_edge_list("6 1\n0 99")
 
 
 class TestGraph6:
@@ -158,6 +223,28 @@ class TestGraph6:
         s = emit_graph6(g)
         assert s.startswith("~")
         assert parse_graph6(s) == g
+
+    @pytest.mark.parametrize("text", ["Bw\nCF\n", "Bw\r\nCF\r\n", "Bw\n\nBw",
+                                      ">>graph6<<Bw\n>>graph6<<CF\n"])
+    def test_more_than_one_graph_refused(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_graph6(text)
+        assert str(info.value) == ("graph6 input holds more than one graph, one per "
+                                   "line; this command reads one")
+
+    @pytest.mark.parametrize("text, message", [
+        ("5 5\n0 1\n", "invalid graph6 size character '5'"),
+        ("Bww\nCF\n", "graph6 body length 2 does not match n=3 (expected 1)"),
+    ])
+    def test_first_line_checked_before_the_second(self, text, message):
+        # a text in another format is refused for its first line
+        with pytest.raises(ParseError) as info:
+            parse_graph6(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["Bw\n", "Bw\r\n", "  Bw \n\n"])
+    def test_one_line_with_its_line_end(self, text):
+        assert parse_graph6(text).edges == ((0, 1), (0, 2), (1, 2))
 
 
 
@@ -447,9 +534,10 @@ class TestGraphLayerOracles:
         assert as_bipartite(g) == as_bipartite_by_lists(g)
 
     def test_size_limit(self, monkeypatch):
+        # the constructor refuses what the emitter could not write
         monkeypatch.setattr(matchbound.graphs, "GRAPH6_MAX_N", 5)
         assert emit_graph6(Graph(5)) == "D??"
-        with pytest.raises(ValueError, match=r"^graph6 emitter supports n <= 5$"):
+        with pytest.raises(CapExceeded, match=r"graphs\.GRAPH6_MAX_N"):
             emit_graph6(Graph(6))
 
 
