@@ -340,15 +340,27 @@ class TestGraph6Oracle:
     @example("~~??????")
     @example("~?" + chr(20) + "~")
     @example(">>graph6<<")
+    @example("A_\nA_")
+    @example("A\n_")
+    @example(" >>graph6<<A_\r\n?\n")
     def test_same_graph_or_same_error(self, text):
+        # parse_graph6 decodes the first line and refuses a line after it
+        # once that decodes; the bit-by-bit decoder reads a single string
+        first, newline, _ = text.strip().partition("\n")
         try:
-            expected = parse_graph6_by_bits(text)
+            expected = parse_graph6_by_bits(first)
         except ParseError as exc:
             with pytest.raises(ParseError) as info:
                 parse_graph6(text)
             assert str(info.value) == str(exc)
         else:
-            assert parse_graph6(text) == expected
+            if newline:
+                with pytest.raises(ParseError) as info:
+                    parse_graph6(text)
+                assert str(info.value) == ("graph6 input holds more than one graph, "
+                                           "one per line; this command reads one")
+            else:
+                assert parse_graph6(text) == expected
 
 
 class TestConstructions:
