@@ -179,8 +179,9 @@ def _random_instance(ell: int, m: int, p: float, seed, sweep):
     for _ in range(GENERATOR_RETRY_CAP):
         edges = [(x, y) for x in range(ell) for y in range(m) if rng.random() < p]
         cand = BipartiteGraph(ell, m, edges)
-        # 0 or None without an X-saturating matching: an isolated X-vertex leaves none
-        found = sweep(cand)
+        if min(cand.degrees_x) < 1:  # no X-saturating matching; skip the sweep's tables
+            continue
+        found = sweep(cand)  # 0 or None when there is no X-saturating matching
         if found:
             return cand, found
     raise CapExceeded(

@@ -142,22 +142,6 @@ def random_regular_by_shuffle(n: int, d: int, seed) -> Graph:
             return Graph(n, edges)
 
 
-def random_instance_rejecting_isolated(ell: int, m: int, p: float, seed, sweep):
-    """The campaign draw that refused a draw with an isolated X-vertex before
-    its sweep ran; the library leaves that draw to the sweep, which finds no
-    X-saturating matching in it. None after 1000 draws."""
-    rng = random.Random(seed)
-    for _ in range(1000):
-        edges = [(x, y) for x in range(ell) for y in range(m) if rng.random() < p]
-        cand = BipartiteGraph(ell, m, edges)
-        if min(cand.degrees_x) < 1:
-            continue
-        found = sweep(cand)
-        if found:
-            return cand, found
-    return None
-
-
 def sharp_family_by_descent(ell: int, m: int, limit: int) -> list[BipartiteGraph]:
     """The sharp family built from the list of every partition of ell into
     parts a with a*M/ell integral, sliced to `limit` afterwards: the walk the

@@ -12,7 +12,7 @@ import matchbound
 from matchbound.campaigns import _random_instance, _sharp_family
 from matchbound.counting import _marginal_table, saturating_count
 from matchbound.cli import main
-from oracles import cycle_profile, random_instance_rejecting_isolated, sharp_family_by_descent
+from oracles import cycle_profile, sharp_family_by_descent
 
 UMC_CORPUS = json.loads(
     (Path(__file__).parent / "data" / "umc_reports.json").read_text())["umc"]
@@ -147,23 +147,32 @@ class TestConfigRules:
 
 
 class TestIsolatedDraws:
-    """A draw with an isolated X-vertex has no X-saturating matching, so the
-    sweep rejects it; no separate degree check runs first."""
+    """A draw with an isolated X-vertex has no X-saturating matching; the
+    sampler skips it before the sweep builds any table."""
 
     def test_sweeps_find_nothing(self):
         b = BipartiteGraph(3, 4, [(0, 0), (0, 1), (2, 3)])
         assert saturating_count(b) == 0
         assert _marginal_table(b) is None
 
-    @pytest.mark.parametrize("sweep", [saturating_count, _marginal_table])
     @pytest.mark.parametrize("ell, m, p", [(3, 4, 0.3), (6, 9, 0.5), (2, 2, 0.2)])
-    def test_same_instances_as_the_degree_check(self, sweep, ell, m, p):
+    def test_sweep_sees_no_isolated_draw(self, ell, m, p):
+        swept = []
+
+        def sweep(b):
+            swept.append(min(b.degrees_x))
+            return saturating_count(b)
+
         for seed in range(40):
-            cand, found = _random_instance(ell, m, p, seed, sweep)
-            ref, ref_found = random_instance_rejecting_isolated(ell, m, p, seed, sweep)
-            assert cand == ref
-            assert (found == ref_found if sweep is saturating_count
-                    else (found.total, found.hits) == (ref_found.total, ref_found.hits))
+            _random_instance(ell, m, p, seed, sweep)
+        assert swept and min(swept) >= 1
+
+    def test_all_isolated_reaches_the_cap_unswept(self):
+        def sweep(b):
+            raise AssertionError("an isolated draw reached the sweep")
+
+        with pytest.raises(CapExceeded, match="GENERATOR_RETRY_CAP"):
+            _random_instance(20, 20, 0.0, 0, sweep)
 
 
 class TestGenmincCampaign:

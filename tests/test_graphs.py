@@ -101,6 +101,9 @@ class TestLineFormatRefusals:
         (parse_bipartite, "B 0 2 1\n0 0", "both parts need at least one vertex"),
         (parse_bipartite, "B 2 2 2\n0 0", "expected 2 edge lines, found 1"),
         (parse_bipartite, "B 2 2 0\n0 0", "expected 0 edge lines, found 1"),
+        # the constructor sees the sizes only after the count and the edge lines
+        (parse_edge_list, "0 3", "expected 3 edge lines, found 0"),
+        (parse_bipartite, "B 0 2 1\nx y", "malformed edge line: 'x y'"),
     ])
     def test_message(self, parse, text, message):
         with pytest.raises(ParseError) as info:
