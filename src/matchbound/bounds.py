@@ -14,13 +14,12 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import MarginalTable, matching_marginals, matching_profile
+from .counting import PHI_READINGS, MarginalTable, matching_marginals, matching_profile
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, Graph, as_bipartite
 
 LOG2E = math.log2(math.e)
 LN2 = math.log(2)
-PHI_READINGS = ("gamma", "literal")  # of phi_wild's second term; the first is the default
 
 
 def log2_int(n: int) -> float:

@@ -12,8 +12,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bounds import PHI_READINGS, genminc_bound, log2_int, wild_bound
-from .counting import (_marginal_table, matching_profile, saturating_count,
+from .bounds import genminc_bound, log2_int, wild_bound
+from .counting import (PHI_READINGS, _marginal_table, matching_profile, saturating_count,
                        umc_extremal_profile)
 from .errors import CapExceeded
 from .graphs import (BipartiteGraph, check_vertex_count, emit_bipartite, emit_graph6,

@@ -8,23 +8,52 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .bounds import PHI_READINGS, bound_report, reports_to_csv
-from .campaigns import CampaignConfig, run_campaign
-from .correspondence import verify_fibers
-from .counting import matching_marginals, matching_profile, profile_to_json
 from .errors import CapExceeded, ParseError
 from .graphs import (BipartiteGraph, Graph, bipartite_double_cover, emit_bipartite,
                      parse_bipartite, parse_edge_list, parse_graph6)
-from .prooflab import (Enumeration, inequality_chain_audit, rk_formula_audit,
-                       zx_distribution_audit)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VIOLATION = 3
+
+
+# the names the commands take from each module that runs one, bound in this
+# module's globals when the module is first needed: at dispatch, or when read
+# as an attribute of cli, as a tracer reads the names it wraps
+_LENT = {
+    "graphs": (),
+    "counting": ("matching_profile", "matching_marginals", "profile_to_json"),
+    "bounds": ("bound_report", "reports_to_csv"),
+    "correspondence": ("verify_fibers",),
+    "prooflab": ("Enumeration", "inequality_chain_audit", "zx_distribution_audit",
+                 "rk_formula_audit"),
+    "campaigns": ("CampaignConfig", "run_campaign"),
+}
+_loaded: set[str] = set()
+
+
+def _load(module: str) -> None:
+    """Import module once and bind the names it lends, leaving any name
+    already bound (a wrapper installed on cli) as it is."""
+    if module not in _loaded:
+        lender = importlib.import_module(f"{__package__}.{module}")
+        for name in _LENT[module]:
+            globals().setdefault(name, getattr(lender, name))
+        _loaded.add(module)
+
+
+def __getattr__(name):
+    """A name a command module lends, read before the module is loaded."""
+    for module, names in _LENT.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
@@ -219,13 +248,16 @@ def _cmd_campaign(args) -> int:
 def build_parser() -> _Parser:
     """The parser, built on the first call and shared by every call after
     it: building costs far more than parsing, and parse_args leaves the
-    parser unchanged. Each subcommand names the function that runs it."""
+    parser unchanged. Each subcommand names the function that runs it and
+    the module that function needs, which dispatch imports."""
+    from .counting import PHI_READINGS
+
     parser = _Parser(prog="matchbound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, run, graph=True):
+    def command(name, help, module, run, graph=True):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(module=module, run=run)
         if graph:
             p.add_argument("--graph", required=True, help="input file, or - for stdin")
             p.add_argument("--format", choices=["g6", "edges", "bipartite"],
@@ -233,28 +265,32 @@ def build_parser() -> _Parser:
             p.add_argument("--out", default=None)
         return p
 
-    p = command("count", "exact matching profile", _cmd_count)
+    p = command("count", "exact matching profile", "counting", _cmd_count)
     p.add_argument("--json", action="store_true")
 
-    p = command("bounds", "bound table for one or all ell", _cmd_bounds)
+    p = command("bounds", "bound table for one or all ell", "bounds", _cmd_bounds)
     p.add_argument("--ell", default="all")
     layout = p.add_mutually_exclusive_group()
     layout.add_argument("--json", action="store_true")
     layout.add_argument("--csv", action="store_true")
     p.add_argument("--phi-interp", choices=PHI_READINGS, default="gamma")
 
-    p = command("marginals", "exact matching marginals (bipartite)", _cmd_marginals)
+    p = command("marginals", "exact matching marginals (bipartite)", "counting",
+                _cmd_marginals)
     p.add_argument("--ell", required=True, type=int)
 
-    command("double-cover", "emit the bipartite double cover", _cmd_double_cover)
+    command("double-cover", "emit the bipartite double cover", "graphs",
+            _cmd_double_cover)
 
-    p = command("fibers", "fiber-size audit for one ell", _cmd_fibers)
+    p = command("fibers", "fiber-size audit for one ell", "correspondence", _cmd_fibers)
     p.add_argument("--ell", required=True, type=int)
 
-    p = command("prooflab", "entropy-argument audits (bipartite)", _cmd_prooflab)
+    p = command("prooflab", "entropy-argument audits (bipartite)", "prooflab",
+                _cmd_prooflab)
     p.add_argument("--ell", required=True, type=int)
 
-    p = command("campaign", "seeded conjecture campaign", _cmd_campaign, graph=False)
+    p = command("campaign", "seeded conjecture campaign", "campaigns", _cmd_campaign,
+                graph=False)
     p.add_argument("--conjecture", choices=["umc", "genminc", "wild"], required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
@@ -274,6 +310,7 @@ def build_parser() -> _Parser:
 def cli_dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _load(args.module)
         return args.run(args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

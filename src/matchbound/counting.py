@@ -11,8 +11,6 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from operator import itemgetter, mul
@@ -22,6 +20,9 @@ from .graphs import BipartiteGraph, Graph
 
 STATE_CAP_ENV = "MATCHBOUND_STATE_CAP"
 DEFAULT_STATE_CAP = 1 << 20
+# the readings of bounds.phi_wild's second term, the first the default; stated
+# here, not in bounds, so that the CLI builds its parser without loading bounds
+PHI_READINGS = ("gamma", "literal")
 
 
 def _state_cap() -> int:
@@ -198,15 +199,21 @@ def kdd_profile(d: int) -> list[int]:
 
 
 def umc_extremal_profile(n_vertices: int, d: int) -> list[int]:
-    """Exact profile of the disjoint union of n/(2d) copies of K_{d,d}."""
+    """Exact profile of the disjoint union of t = n/(2d) copies of K_{d,d}:
+    the coefficients c of P^t, P = kdd_profile(d), by J. C. P. Miller's
+    power recurrence k * c_k = sum_{j=1..d} ((t+1)j - k) p_j c_{k-j},
+    c_0 = 1 (p_0 = 1), whose division by k is exact."""
     if d < 1:
         raise ValueError("degree must be positive")
     if n_vertices % (2 * d) != 0:
         raise ValueError(f"2d = {2 * d} must divide N = {n_vertices}")
-    block = kdd_profile(d)
+    p = kdd_profile(d)[1:]
+    jp = [j * pj for j, pj in enumerate(p, 1)]
+    t1 = n_vertices // (2 * d) + 1
     prof = [1]
-    for _ in range(n_vertices // (2 * d)):
-        prof = profile_convolution(prof, block)
+    for k in range(1, n_vertices // 2 + 1):
+        last = prof[:-d - 1:-1]  # c_{k-1}, ..., c_{k-d}
+        prof.append((t1 * sum(map(mul, jp, last)) - k * sum(map(mul, p, last))) // k)
     return prof
 
 
@@ -220,7 +227,6 @@ def frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-@dataclass
 class MarginalTable:
     """Exact edge marginals of the uniform random X-saturating matching.
 
@@ -230,16 +236,27 @@ class MarginalTable:
     The rationals are built when first read.
     """
 
-    ell: int
-    hits: list[list[int]]
-    total: int
+    def __init__(self, ell: int, hits: list[list[int]], total: int):
+        self.ell = ell
+        self.hits = hits
+        self.total = total
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ell, self.hits, self.total) == (other.ell, other.hits, other.total)
+
+    def __repr__(self):
+        return f"MarginalTable(ell={self.ell!r}, hits={self.hits!r}, total={self.total!r})"
 
     @cached_property
     def p(self) -> list[list[Fraction]]:
+        from fractions import Fraction
         return [[Fraction(c, self.total) for c in row] for row in self.hits]
 
     @cached_property
     def mu(self) -> list[Fraction]:
+        from fractions import Fraction
         return [Fraction(sum(col), self.total) for col in zip(*self.hits)]
 
     @cached_property

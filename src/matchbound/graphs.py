@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from itertools import compress
 
 from .errors import CapExceeded, ParseError
@@ -133,16 +134,34 @@ class BipartiteGraph:
 # edge-list and bipartite text formats
 # ---------------------------------------------------------------------------
 
+_NUMBER = re.compile("-?[0-9]+")  # a size, count or vertex: no "+", "_" or non-ASCII digit
+# lines of two such numbers each, joined by "\n"
+_EDGE_LINES = re.compile(r"(?:[^\S\n]*-?[0-9]+[^\S\n]+-?[0-9]+[^\S\n]*(?:\n|\Z))*")
+
+
+def _edge_numbers(text: str) -> list[int] | None:
+    """The numbers of edge lines joined by "\n", or None unless each line
+    holds two numbers that int() converts."""
+    if _EDGE_LINES.fullmatch(text):
+        try:
+            return list(map(int, text.split()))
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _parse_lines(text: str, cls, tag: list[str], parts: int):
     """The line formats: a header of tag, `parts` part sizes and the edge
     count m, then m lines "u v". cls builds the graph, so it refuses the
-    sizes and the edges; m is refused here, since no constructor sees it."""
+    sizes and the edges; m is refused here, since no constructor sees it.
+    The edge lines are checked in one pass of a regular expression."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input")
     head, k = lines[0].split(), len(tag)
     try:
-        if head[:k] != tag or len(head) != k + parts + 1:
+        if (head[:k] != tag or len(head) != k + parts + 1
+                or not all(map(_NUMBER.fullmatch, head[k:]))):
             raise ValueError
         *sizes, m = map(int, head[k:])
     except ValueError:
@@ -151,15 +170,12 @@ def _parse_lines(text: str, cls, tag: list[str], parts: int):
         raise ParseError(f"bad sizes in header: {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError:
-            raise ParseError(f"malformed edge line: {ln!r}") from None
-        edges.append((u, v))
+    numbers = _edge_numbers("\n".join(lines[1:]))
+    if numbers is None:
+        bad = next(ln for ln in lines[1:] if _edge_numbers(ln) is None)
+        raise ParseError(f"malformed edge line: {bad!r}")
     try:
-        return cls(*sizes, edges)
+        return cls(*sizes, zip(numbers[::2], numbers[1::2]))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -319,6 +319,15 @@ class TestExitCodes:
         path.write_text("2 1\n0 0\n")
         assert main(["count", "--graph", str(path)]) == 1
 
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("edges", "1_0 0\n", "malformed header: '1_0 0'"),
+        ("edges", "2 1\n٠ ١\n", "malformed edge line: '٠ ١'"),
+        ("bipartite", "B +1 1 1\n0 0\n", "malformed header: 'B +1 1 1'")])
+    def test_number_not_ascii_digits(self, fmt, text, message, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["count", "--graph", "-", "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_not_utf8(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "bad.edges"
         path.write_bytes(b"\xff\xfe3 3\n")

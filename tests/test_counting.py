@@ -219,6 +219,14 @@ class TestKddProfile:
             disjoint_union([complete_bipartite(3, 3).to_graph()] * 2))
         assert umc_extremal_profile(8, 2)[:3] == [1, 8, 20]
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_extremal_profile_is_the_iterated_convolution(self, d):
+        # the power recurrence against t convolutions of the block profile
+        prof = [1]
+        for t in range(1, 13):
+            prof = profile_convolution(prof, kdd_profile(d))
+            assert umc_extremal_profile(2 * d * t, d) == prof
+
     def test_refusals(self):
         with pytest.raises(ValueError, match=r"^d must be positive$"):
             kdd_profile(0)

@@ -104,6 +104,26 @@ class TestLineFormatRefusals:
         # the constructor sees the sizes only after the count and the edge lines
         (parse_edge_list, "0 3", "expected 3 edge lines, found 0"),
         (parse_bipartite, "B 0 2 1\nx y", "malformed edge line: 'x y'"),
+        # a number is an optional "-" and ASCII digits: not every text int() reads
+        (parse_edge_list, "1_0 0\n", "malformed header: '1_0 0'"),
+        (parse_edge_list, "+3 0", "malformed header: '+3 0'"),
+        (parse_edge_list, "\u0663 0", "malformed header: '\u0663 0'"),
+        (parse_edge_list, " 3 0x0", "malformed header: ' 3 0x0'"),
+        (parse_bipartite, "B +1 1 1\n0 0", "malformed header: 'B +1 1 1'"),
+        (parse_bipartite, "B 1 1 1.0\n0 0", "malformed header: 'B 1 1 1.0'"),
+        (parse_edge_list, "2 1\n\u0660 \u0661\n", "malformed edge line: '\u0660 \u0661'"),
+        (parse_edge_list, "3 1\n+1 2", "malformed edge line: '+1 2'"),
+        (parse_edge_list, "3 2\n0 1\n1_0 2", "malformed edge line: '1_0 2'"),
+        (parse_edge_list, "3 1\n0 -", "malformed edge line: '0 -'"),
+        (parse_edge_list, "3 1\n0 --1", "malformed edge line: '0 --1'"),
+        (parse_edge_list, "3 1\n\uff10 1", "malformed edge line: '\uff10 1'"),
+        (parse_bipartite, "B 1 2 2\n0 0\n0 \u0661", "malformed edge line: '0 \u0661'"),
+        # the first malformed line is named, whatever is wrong with it
+        (parse_edge_list, "3 2\n0 1 2\n1_0 2", "malformed edge line: '0 1 2'"),
+        (parse_edge_list, "3 2\n1_0 2\n0 1 2", "malformed edge line: '1_0 2'"),
+        (parse_edge_list, "3 2\n0 1\n1 2 0", "malformed edge line: '1 2 0'"),
+        pytest.param(parse_edge_list, "2 1\n0 1" + "0" * 5000,
+                     f"malformed edge line: '0 1{'0' * 5000}'", id="more-digits-than-int-takes"),
     ])
     def test_message(self, parse, text, message):
         with pytest.raises(ParseError) as info:
@@ -124,10 +144,21 @@ class TestLineFormatRefusals:
             parse(text)
         assert str(info.value) == f"malformed header: {text!r}"
 
+    def test_separators_are_any_whitespace(self):
+        g = parse_edge_list("3 2\r\n\t0\u00a01 \n\n 1  2\t\n")
+        assert g.edges == ((0, 1), (1, 2))
+        assert parse_bipartite("B 1 2 1\n0 1 ").edges == ((0, 1),)
+
     @pytest.mark.parametrize("parse, text", [(parse_edge_list, "-2 1\n0 1"),
                                              (parse_bipartite, "B 1 -1 0")])
     def test_constructor_refuses_negative_sizes(self, parse, text):
         with pytest.raises(ParseError, match="at least one vertex"):
+            parse(text)
+
+    @pytest.mark.parametrize("parse, text", [(parse_edge_list, "3 1\n-1 2"),
+                                             (parse_bipartite, "B 1 1 1\n0 -1")])
+    def test_constructor_refuses_negative_vertices(self, parse, text):
+        with pytest.raises(ParseError, match="^vertex out of range"):
             parse(text)
 
     @pytest.mark.parametrize("parse, text", [(parse_edge_list, "0 -1"),
