@@ -33,10 +33,10 @@ class CampaignConfig:
     d: int | None = None                 # umc: degree
     ell: int | None = None               # genminc/wild: |X| = ell
     size_y: int | None = None            # genminc/wild: M
-    edge_prob: float = 0.5
+    edge_prob: float | None = None       # genminc/wild; None: not given, 0.5
     family: str = "random"               # "random" | "sharp"
     ell_values: list[int] | None = None  # umc: None means all 0..N/2
-    phi_interp: str = "gamma"
+    phi_interp: str | None = None        # wild; None: not given, "gamma"
 
     def __post_init__(self):
         """Check every campaign rule, so a config that exists can be run."""
@@ -53,9 +53,14 @@ class CampaignConfig:
             if self.family == "sharp":
                 raise ValueError("umc campaigns take no sharp family: they draw random "
                                  "regular graphs")
+            if self.edge_prob is not None:
+                raise ValueError("umc campaigns take no edge probability: they draw "
+                                 "random regular graphs")
             if n < 1:
                 raise ValueError(f"N must be positive, got {n}")
-            if d < 1 or n % (2 * d) != 0:
+            if d < 1:
+                raise ValueError(f"d must be positive, got {d}")
+            if n % (2 * d) != 0:
                 raise ValueError(f"2d = {2 * d} must divide N = {n}")
             if any(not 0 <= l <= n // 2 for l in self.ell_values or ()):
                 raise ValueError(f"ell values must lie in 0..{n // 2}")
@@ -70,8 +75,13 @@ class CampaignConfig:
                 raise ValueError(f"need 1 <= ell <= M, got ell={ell}, M={m}")
         if self.family not in ("random", "sharp"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.phi_interp not in PHI_READINGS:
+        if self.phi_interp not in (None, *PHI_READINGS):
             raise ValueError(f"unknown interpretation {self.phi_interp!r}")
+        if self.phi_interp is not None and self.conjecture != "wild":
+            raise ValueError(f"{self.conjecture} campaigns take no phi reading: only "
+                             "the wild bound reads phi")
+        self.phi_interp = self.phi_interp or "gamma"
+        self.edge_prob = 0.5 if self.edge_prob is None else self.edge_prob
         if not 0 <= self.edge_prob <= 1:  # NaN fails the comparison too
             raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
         check_vertex_count(self.n_vertices or self.ell + self.size_y)  # a sample's vertices

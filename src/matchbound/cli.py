@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -22,38 +21,22 @@ EXIT_INFEASIBLE = 2
 EXIT_VIOLATION = 3
 
 
-# the names the commands take from each module that runs one, bound in this
-# module's globals when the module is first needed: at dispatch, or when read
-# as an attribute of cli, as a tracer reads the names it wraps
-_LENT = {
-    "graphs": (),
-    "counting": ("matching_profile", "matching_marginals", "profile_to_json"),
-    "bounds": ("bound_report", "reports_to_csv"),
-    "correspondence": ("verify_fibers",),
-    "prooflab": ("Enumeration", "inequality_chain_audit", "zx_distribution_audit",
-                 "rk_formula_audit"),
-    "campaigns": ("CampaignConfig", "run_campaign"),
-}
-_loaded: set[str] = set()
-
-
-def _load(module: str) -> None:
-    """Import module once and bind the names it lends, leaving any name
-    already bound (a wrapper installed on cli) as it is."""
-    if module not in _loaded:
-        lender = importlib.import_module(f"{__package__}.{module}")
-        for name in _LENT[module]:
-            globals().setdefault(name, getattr(lender, name))
-        _loaded.add(module)
+# this module: the commands read the package's names as its attributes, so
+# a name set here (a wrapper) is the one that runs
+_here = sys.modules[__name__]
 
 
 def __getattr__(name):
-    """A name a command module lends, read before the module is loaded."""
-    for module, names in _LENT.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name of the package, read here before it is bound: resolved
+    by the package's name table and bound here. It asks the package's
+    __getattr__, not the package, so that an attribute an import probes
+    here, such as __path__, is not taken from the package."""
+    try:
+        value = sys.modules[__package__].__getattr__(name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
 
 
 class _UsageError(Exception):
@@ -168,9 +151,9 @@ def _ell_list(spec: str, max_ell: int | None = None) -> list[int]:
 
 def _cmd_count(args) -> int:
     g, _name = _read_graph(args, Graph)
-    prof = matching_profile(g)
+    prof = _here.matching_profile(g)
     if args.json:
-        _write(profile_to_json(prof) + "\n", args.out)
+        _write(_here.profile_to_json(prof) + "\n", args.out)
     else:
         lines = [f"{ell} {cnt}" for ell, cnt in enumerate(prof)]
         _write("\n".join(lines) + "\n", args.out)
@@ -181,18 +164,18 @@ def _cmd_bounds(args) -> int:
     g, name = _read_graph(args, None)
     n = g.size_x + g.size_y if isinstance(g, BipartiteGraph) else g.n
     ells = _ell_list(args.ell, n // 2)
-    reports = bound_report(g, ells, graph_id=name, phi_interp=args.phi_interp)
+    reports = _here.bound_report(g, ells, graph_id=name, phi_interp=args.phi_interp)
     if args.json:
         _write_json({"schema": 1, "reports": [r.to_json_dict() for r in reports]},
                     args.out)
     else:
-        _write(reports_to_csv(reports), args.out)
+        _write(_here.reports_to_csv(reports), args.out)
     return EXIT_OK
 
 
 def _cmd_marginals(args) -> int:
     g, _name = _read_graph(args, BipartiteGraph)
-    _write_json(matching_marginals(g).to_json_dict(), args.out)
+    _write_json(_here.matching_marginals(g).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -204,16 +187,16 @@ def _cmd_double_cover(args) -> int:
 
 def _cmd_fibers(args) -> int:
     g, name = _read_graph(args, Graph)
-    _write_json(verify_fibers(g, args.ell, graph_id=name).to_json_dict(), args.out)
+    _write_json(_here.verify_fibers(g, args.ell, graph_id=name).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_prooflab(args) -> int:
     g, _name = _read_graph(args, BipartiteGraph)
-    enum = Enumeration(g)
-    chain = inequality_chain_audit(enum)
-    zx = [zx_distribution_audit(enum, x).to_json_dict() for x in range(g.size_x)]
-    rk = [rk_formula_audit(enum, x, y).to_json_dict()
+    enum = _here.Enumeration(g)
+    chain = _here.inequality_chain_audit(enum)
+    zx = [_here.zx_distribution_audit(enum, x).to_json_dict() for x in range(g.size_x)]
+    rk = [_here.rk_formula_audit(enum, x, y).to_json_dict()
           for x, y in g.edges if enum.p[x][y]]
     _write_json({"schema": 1, "chain": chain.to_json_dict(),
                  "sizeDistributions": zx, "availabilityFormulas": rk}, args.out)
@@ -232,12 +215,12 @@ def _cmd_campaign(args) -> int:
             raise _UsageError(f"bad --ell value {args.ell!r}: {args.conjecture} "
                               "takes a single integer")
         ell = values[0]
-    cfg = CampaignConfig(
+    cfg = _here.CampaignConfig(
         conjecture=args.conjecture, samples=args.samples, seed=args.seed,
         n_vertices=args.N, d=args.d, ell=ell, size_y=args.M,
         edge_prob=args.edge_prob, family=args.family, ell_values=ell_values,
         phi_interp=args.phi_interp)
-    report = run_campaign(cfg)
+    report = _here.run_campaign(cfg)
     _write_json(report.to_json_dict(), args.out)
     if report.violations and args.strict:
         return EXIT_VIOLATION
@@ -248,16 +231,17 @@ def _cmd_campaign(args) -> int:
 def build_parser() -> _Parser:
     """The parser, built on the first call and shared by every call after
     it: building costs far more than parsing, and parse_args leaves the
-    parser unchanged. Each subcommand names the function that runs it and
-    the module that function needs, which dispatch imports."""
+    parser unchanged. Each subcommand names the function that runs it; that
+    function loads a module of the package when it first reads one of its
+    names."""
     from .counting import PHI_READINGS
 
     parser = _Parser(prog="matchbound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, module, run, graph=True):
+    def command(name, help, run, graph=True):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(module=module, run=run)
+        p.set_defaults(run=run)
         if graph:
             p.add_argument("--graph", required=True, help="input file, or - for stdin")
             p.add_argument("--format", choices=["g6", "edges", "bipartite"],
@@ -265,42 +249,38 @@ def build_parser() -> _Parser:
             p.add_argument("--out", default=None)
         return p
 
-    p = command("count", "exact matching profile", "counting", _cmd_count)
+    p = command("count", "exact matching profile", _cmd_count)
     p.add_argument("--json", action="store_true")
 
-    p = command("bounds", "bound table for one or all ell", "bounds", _cmd_bounds)
+    p = command("bounds", "bound table for one or all ell", _cmd_bounds)
     p.add_argument("--ell", default="all")
     layout = p.add_mutually_exclusive_group()
     layout.add_argument("--json", action="store_true")
     layout.add_argument("--csv", action="store_true")
     p.add_argument("--phi-interp", choices=PHI_READINGS, default="gamma")
 
-    p = command("marginals", "exact matching marginals (bipartite)", "counting",
-                _cmd_marginals)
+    p = command("marginals", "exact matching marginals (bipartite)", _cmd_marginals)
     p.add_argument("--ell", required=True, type=int)
 
-    command("double-cover", "emit the bipartite double cover", "graphs",
-            _cmd_double_cover)
+    command("double-cover", "emit the bipartite double cover", _cmd_double_cover)
 
-    p = command("fibers", "fiber-size audit for one ell", "correspondence", _cmd_fibers)
+    p = command("fibers", "fiber-size audit for one ell", _cmd_fibers)
     p.add_argument("--ell", required=True, type=int)
 
-    p = command("prooflab", "entropy-argument audits (bipartite)", "prooflab",
-                _cmd_prooflab)
+    p = command("prooflab", "entropy-argument audits (bipartite)", _cmd_prooflab)
     p.add_argument("--ell", required=True, type=int)
 
-    p = command("campaign", "seeded conjecture campaign", "campaigns", _cmd_campaign,
-                graph=False)
+    p = command("campaign", "seeded conjecture campaign", _cmd_campaign, graph=False)
     p.add_argument("--conjecture", choices=["umc", "genminc", "wild"], required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--ell", default=None)
     p.add_argument("--M", type=int, default=None)
-    p.add_argument("--edge-prob", type=float, default=0.5)
+    p.add_argument("--edge-prob", type=float, default=None)
     p.add_argument("--family", choices=["random", "sharp"], default="random")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi-interp", choices=PHI_READINGS, default="gamma")
+    p.add_argument("--phi-interp", choices=PHI_READINGS, default=None)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
 
@@ -310,7 +290,6 @@ def build_parser() -> _Parser:
 def cli_dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _load(args.module)
         return args.run(args)
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -241,14 +241,6 @@ class MarginalTable:
         self.hits = hits
         self.total = total
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.ell, self.hits, self.total) == (other.ell, other.hits, other.total)
-
-    def __repr__(self):
-        return f"MarginalTable(ell={self.ell!r}, hits={self.hits!r}, total={self.total!r})"
-
     @cached_property
     def p(self) -> list[list[Fraction]]:
         from fractions import Fraction

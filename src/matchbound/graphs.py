@@ -203,8 +203,7 @@ def emit_bipartite(b: BipartiteGraph) -> str:
 def emit_graph6(g: Graph) -> str:
     n = g.n  # at most GRAPH6_MAX_N: the constructor refuses more
     edges = set(g.edges)
-    bits = "".join("1" if e in edges else "0"
-                   for e in (_g6_pairs(n) if n <= 62 else _upper_triangle(n)))
+    bits = "".join("1" if e in edges else "0" for e in _g6_pairs(n))
     head = chr(n + 63) if n <= 62 else "~" + _g6_chars(format(n, "018b"))
     return head + _g6_chars(bits + "0" * (-len(bits) % 6))
 
@@ -243,8 +242,7 @@ def parse_graph6(text: str) -> Graph:
     if more:
         raise ParseError("graph6 input holds more than one graph, one per line; "
                          "this command reads one")
-    pairs = _g6_pairs(n) if n <= 62 else _upper_triangle(n)
-    return Graph(n, compress(pairs, bits.encode().translate(_BIT_BYTES)))
+    return Graph(n, compress(_g6_pairs(n), bits.encode().translate(_BIT_BYTES)))
 
 
 _G6_BITS = {63 + v: format(v, "06b") for v in range(64)}  # a character's six bits
@@ -265,12 +263,17 @@ def _g6_chars(bits: str) -> str:
     return "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
+def _g6_pairs(n: int):
+    """The (i, j) pairs of the upper triangle in graph6 bit order; those of
+    the sizes the 1-byte header writes (n <= 62) are kept."""
+    return _kept_pairs(n) if n <= 62 else _upper_triangle(n)
+
+
 def _upper_triangle(n: int):
-    """The (i, j) pairs of the upper triangle in graph6 bit order."""
     return ((i, j) for j in range(1, n) for i in range(j))
 
 
-_g6_pairs = functools.cache(lambda n: tuple(_upper_triangle(n)))  # kept for n <= 62
+_kept_pairs = functools.cache(lambda n: tuple(_upper_triangle(n)))
 
 
 # ---------------------------------------------------------------------------

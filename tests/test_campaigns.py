@@ -95,7 +95,7 @@ class TestConfigRules:
         (UMC, {"samples": -1}, "samples must be nonnegative"),
         (UMC, {"d": None}, "umc campaigns need N and d"),
         (UMC, {"n_vertices": 10}, "2d = 4 must divide N = 10"),
-        (UMC, {"d": 0}, "2d = 0 must divide N = 8"),
+        (UMC, {"d": 0}, "d must be positive, got 0"),
         (UMC, {"ell_values": [0, 5]}, r"ell values must lie in 0\.\.4"),
         (GEN, {"size_y": None}, "genminc campaigns need ell and M"),
         (GEN, {"ell": 0}, "need 1 <= ell <= M"),
@@ -112,6 +112,9 @@ class TestConfigRules:
         (GEN, {"ell_values": [2]}, "genminc campaigns take no N, d or list of ell"),
         (UMC, {"family": "sharp"}, "umc campaigns take no sharp family"),
         (GEN, {"conjecture": "wild", "ell": None}, "wild campaigns need ell and M"),
+        (UMC, {"edge_prob": 0.5}, "umc campaigns take no edge probability"),
+        (UMC, {"phi_interp": "gamma"}, "umc campaigns take no phi reading"),
+        (GEN, {"phi_interp": "gamma"}, "genminc campaigns take no phi reading"),
     ])
     def test_rule_raises_at_construction(self, base, change, message):
         with pytest.raises(ValueError, match=message):
@@ -120,6 +123,12 @@ class TestConfigRules:
     @pytest.mark.parametrize("edge_prob", [0.0, 1.0])
     def test_edge_prob_endpoints_allowed(self, edge_prob):
         CampaignConfig(**{**self.GEN, "edge_prob": edge_prob})
+
+    @pytest.mark.parametrize("base", [UMC, GEN, {**GEN, "conjecture": "wild"}])
+    def test_flags_not_given_read_their_defaults(self, base):
+        # a report states the edge probability and phi reading it ran with
+        cfg = CampaignConfig(**base)
+        assert (cfg.edge_prob, cfg.phi_interp) == (0.5, "gamma")
 
     @pytest.mark.parametrize("base, change, n", [
         (UMC, {}, 8),

@@ -441,6 +441,13 @@ class TestExitCodes:
          "wild campaigns take no N, d or list of ell values"),
         (["umc", "--N", "12", "--d", "3", "--family", "sharp"],
          "umc campaigns take no sharp family: they draw random regular graphs"),
+        (["umc", "--N", "12", "--d", "3", "--edge-prob", "0.3"],
+         "umc campaigns take no edge probability: they draw random regular graphs"),
+        (["umc", "--N", "12", "--d", "3", "--phi-interp", "gamma"],
+         "umc campaigns take no phi reading: only the wild bound reads phi"),
+        (["genminc", "--ell", "2", "--M", "3", "--phi-interp", "literal"],
+         "genminc campaigns take no phi reading: only the wild bound reads phi"),
+        (["umc", "--N", "6", "--d", "-3"], "d must be positive, got -3"),
     ])
     def test_campaign_config_refused(self, argv, message, capsys):
         # refused when the config is built, not ignored or failed late
@@ -548,10 +555,14 @@ class TestCapMessages:
 
 
 class TestDispatchSequence:
-    def test_reused_parser_matches_fresh_processes(self, c6_file, monkeypatch, capsys):
+    def test_reused_parser_matches_fresh_processes(self, c6_file, tmp_path, monkeypatch,
+                                                   capsys):
         # one process dispatches every command in turn; each must behave as
-        # in a process of its own
+        # in a process of its own. Under `python -m` the CLI is __main__, and
+        # bounds and prooflab load their modules through it
         monkeypatch.setenv("COLUMNS", "80")
+        k23 = tmp_path / "k23.bip"
+        k23.write_text(emit_bipartite(complete_bipartite(2, 3)))
         commands = [
             ["campaign", "--conjecture", "wild", "--ell", "3", "--M", "4",
              "--samples", "2", "--seed", "1"],
@@ -559,6 +570,8 @@ class TestDispatchSequence:
             ["count", "--graph", c6_file, "--ell", "2"],
             ["--help"],
             ["count", "--graph", c6_file, "--json"],
+            ["bounds", "--graph", c6_file, "--ell", "all", "--json"],
+            ["prooflab", "--graph", str(k23), "--ell", "2"],
         ]
 
         def normalise(argv, out):  # campaign reports differ only in runtimeSeconds
@@ -579,4 +592,4 @@ class TestDispatchSequence:
             assert code == fresh.returncode, argv
             assert normalise(argv, out) == normalise(argv, fresh.stdout), argv
             assert err == fresh.stderr, argv
-        assert codes == [0, 0, 1, 0, 0]
+        assert codes == [0, 0, 1, 0, 0, 0, 0]

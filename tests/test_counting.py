@@ -379,8 +379,9 @@ class TestColumnDPOracle:
                 matching_marginals(b)
             return
         table = matching_marginals(b)
-        assert (table.hits, table.total) == (hits, total)
-        assert _marginal_table(b) == table
+        assert (table.ell, table.hits, table.total) == (b.size_x, hits, total)
+        found = _marginal_table(b)
+        assert (found.ell, found.hits, found.total) == (b.size_x, hits, total)
 
     # shrinking a failing 300-column instance would take minutes
     @settings(max_examples=3, deadline=None,

@@ -1,8 +1,9 @@
 """A process loads only the modules its command runs.
 
 `import matchbound` imports each submodule when one of its names is first
-read, and the CLI imports the module that runs a command when it dispatches
-it. Each check that needs a cold start runs in a fresh interpreter.
+read, and a CLI command reads the names it runs through the package, so a
+module loads when the command first calls one of its names, not at dispatch.
+Each check that needs a cold start runs in a fresh interpreter.
 """
 
 import json
@@ -122,8 +123,8 @@ print(json.dumps(out))
 
 
 class TestCommandNames:
-    """The names a command takes from its module are cli attributes, read
-    from cli's globals at each call, so a wrapper installed there runs."""
+    """The names a command takes from the package are read as attributes of
+    the cli module at each call, so a wrapper installed there runs."""
 
     def test_wrapper_runs_and_original_after(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c5.edges"
@@ -151,11 +152,18 @@ import matchbound.cli as cli
 calls = []
 cli.bound_report = lambda *a, **k: calls.append(1) or []
 code = cli.main(["bounds", "--graph", sys.argv[1], "--ell", "1", "--json"])
+# the run read no other name of bounds, so reading one here loads the module
+to_csv = cli.reports_to_csv
 bounds = sys.modules["matchbound.bounds"]
-print(json.dumps([code, calls, cli.reports_to_csv is bounds.reports_to_csv]))
+print(json.dumps([code, calls, to_csv is bounds.reports_to_csv]))
 """, str(path))
         assert run == [0, [1], True]
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             matchbound.cli.no_such_name
+
+    def test_package_attributes_are_not_lent(self):
+        # `from matchbound.cli import main` probes cli.__path__: were it read
+        # off the package, cli would pass for a package
+        assert not hasattr(matchbound.cli, "__path__")
