@@ -33,13 +33,14 @@ class CampaignConfig:
     d: int | None = None                 # umc: degree
     ell: int | None = None               # genminc/wild: |X| = ell
     size_y: int | None = None            # genminc/wild: M
-    edge_prob: float | None = None       # genminc/wild; None: not given, 0.5
+    edge_prob: float | None = None       # genminc/wild; None: not given, read as 0.5
     family: str = "random"               # "random" | "sharp"
     ell_values: list[int] | None = None  # umc: None means all 0..N/2
-    phi_interp: str | None = None        # wild; None: not given, "gamma"
+    phi_interp: str | None = None        # wild; None: not given, read as "gamma"
 
     def __post_init__(self):
-        """Check every campaign rule, so a config that exists can be run."""
+        """Check every campaign rule, so a config that exists can be run.
+        The fields keep what was given, so a copy checks the same rules."""
         if self.conjecture not in ("umc", "genminc", "wild"):
             raise ValueError(f"unknown conjecture {self.conjecture!r}")
         if self.samples < 0:
@@ -80,11 +81,19 @@ class CampaignConfig:
         if self.phi_interp is not None and self.conjecture != "wild":
             raise ValueError(f"{self.conjecture} campaigns take no phi reading: only "
                              "the wild bound reads phi")
-        self.phi_interp = self.phi_interp or "gamma"
-        self.edge_prob = 0.5 if self.edge_prob is None else self.edge_prob
-        if not 0 <= self.edge_prob <= 1:  # NaN fails the comparison too
+        if not 0 <= self.draw_prob <= 1:  # NaN fails the comparison too
             raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
         check_vertex_count(self.n_vertices or self.ell + self.size_y)  # a sample's vertices
+
+    @property
+    def draw_prob(self) -> float:
+        """The edge probability a random draw takes: 0.5 when none was given."""
+        return 0.5 if self.edge_prob is None else self.edge_prob
+
+    @property
+    def phi_reading(self) -> str:
+        """The reading of phi a wild bound takes: "gamma" when none was given."""
+        return self.phi_interp or PHI_READINGS[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,10 +104,10 @@ class CampaignConfig:
             "d": self.d,
             "ell": self.ell,
             "M": self.size_y,
-            "edgeProb": self.edge_prob,
+            "edgeProb": self.draw_prob,
             "family": self.family,
             "ellValues": self.ell_values,
-            "phiInterp": self.phi_interp,
+            "phiInterp": self.phi_reading,
         }
 
 
@@ -252,7 +261,7 @@ def _bipartite_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
     if cfg.family == "sharp":
         instances = [(inst, sweep(inst)) for inst in _sharp_family(ell, m, cfg.samples)]
     else:
-        instances = [_random_instance(ell, m, cfg.edge_prob, cfg.seed + idx, sweep)
+        instances = [_random_instance(ell, m, cfg.draw_prob, cfg.seed + idx, sweep)
                      for idx in range(cfg.samples)]
 
     for inst, found in instances:
@@ -260,7 +269,7 @@ def _bipartite_samples(cfg: CampaignConfig, report: CampaignReport) -> None:
         exact = log2_int(cnt)
         bounds = [("genminc", genminc_bound(inst))]
         if wild:
-            bounds.append((f"wild-{cfg.phi_interp}", wild_bound(found, cfg.phi_interp)))
+            bounds.append((f"wild-{cfg.phi_reading}", wild_bound(found, cfg.phi_reading)))
         for name, value in bounds:
             slack = value - exact
             if slack < -SLACK_EPS:

@@ -281,21 +281,26 @@ def entropy_bits(probs) -> float:
     return h
 
 
-# The column DP. Table T_j counts, for each used-X set A, the ways columns
-# 0..j-1 are each unused or matched to a distinct x in A, covering A exactly.
-# T_j is one int with 2^|X| slots of W bits, slot A at bits [A*W, (A+1)*W).
-# No entry or hit count exceeds prod_x max(d_x, 1) < 2^W, so slots never
-# carry into each other, and a column with X-neighbours xs adds to T, for
-# each x in xs, the slots lacking bit x shifted up by 2^x slots. A backward
-# table is the same DP over the columns taken from the last one down.
+# The column DP. The X-vertices split into connected components, joined
+# through shared columns; a matching of b is one matching of each, so each
+# runs its own DP. Table T_j of a component with X-vertices X_c counts, for
+# each used set A of X_c, the ways its columns 0..j-1 are each unused or
+# matched to a distinct x in A, covering A exactly. T_j is one int with
+# 2^|X_c| slots of W bits, slot A at bits [A*W, (A+1)*W), where bit i of A
+# is the i-th vertex of X_c. No entry or hit count exceeds
+# prod_{x in X_c} d_x < 2^W, the largest such product fixing W, so slots
+# never carry into each other, and a column with X-neighbours xs adds to T,
+# for each x in xs with bit i, the slots lacking bit i shifted up by 2^i
+# slots. A backward table is the same DP over the columns taken from the
+# last one down.
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
 def _lacking(size_x: int, width: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Per X-vertex x, the table mask of the slots whose index lacks bit x,
-    and two getters that take those slots from a list of slots, in
-    ascending and in descending index order. Slot A lacking x meets slot
-    X - A - x, and as A ascends over the slots lacking x, X - A - x
-    descends over the same slots."""
+    """Per bit x of a slot index, the table mask of the slots whose index
+    lacks bit x, and two getters that take those slots from a list of
+    slots, in ascending and in descending index order. Slot A lacking x
+    meets slot X - A - x, and as A ascends over the slots lacking x,
+    X - A - x descends over the same slots."""
     masks, pickers = [], []
     for x in range(size_x):
         run = width << x >> 3  # bytes: 2^x slots lack x, then 2^x slots have it
@@ -312,23 +317,60 @@ def _getter(idx: list[int]):
 
 
 def _columns(b: BipartiteGraph):
-    """Check the 2^|X| slots of a table against the state cap; return the
-    slot width W, the getters of _lacking, and the step that adds a column
-    to a table. A sweep from either end runs the same step."""
-    cap = _state_cap()
-    if 1 << b.size_x > cap:
+    """Split b into its connected components and check the largest one's
+    2^|X_c| slots against the state cap, before any table is built.
+    Return, per component, its X-vertices and its columns; the place i of
+    each X-vertex in its component, which is its bit in the component's
+    tables; the slot width W of every table; and the step that adds a
+    column to a table of its component. A sweep from either end runs the
+    same step.
+
+    The search places X-vertices in the order it meets them. An isolated
+    X-vertex is a component with no column; a column with no X-neighbour
+    is in none.
+    """
+    size_x, adj_x, adj_y = b.size_x, b.adj_x, b.adj_y
+    place = [-1] * size_x  # i for the i-th X-vertex of its component; -1: not met
+    seen = [False] * b.size_y
+    parts = []
+    for start in range(size_x):
+        if place[start] < 0:
+            place[start] = 0
+            xs, ys = [start], []
+            for x in xs:  # xs grows as the search meets new X-vertices
+                for y in adj_x[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        ys.append(y)
+                        for z in adj_y[y]:
+                            if place[z] < 0:
+                                place[z] = len(xs)
+                                xs.append(z)
+                        if len(xs) == size_x:
+                            break
+                if len(xs) == size_x:  # every X-vertex met: b is connected
+                    ys = [y for y, col in enumerate(adj_y) if col]
+                    break
+            parts.append((xs, ys))
+    cap, largest = _state_cap(), max(len(xs) for xs, _ys in parts)
+    if 1 << largest > cap:
         raise CapExceeded(
-            f"column state cap of {cap} exceeded: 2^{b.size_x} states at "
+            f"column state cap of {cap} exceeded: 2^{largest} states at "
             f"column 0 of {b.size_y}; raise it with {STATE_CAP_ENV}")
-    width = 64 * ((math.prod(max(d, 1) for d in b.degrees_x).bit_length() + 63) // 64)
-    lacking, pickers = _lacking(b.size_x, width)
+    most = max(math.prod(map(len, map(adj_x.__getitem__, xs))) for xs, _ys in parts)
+    width = 64 * ((max(most, 1).bit_length() + 63) // 64)
+    # the masks for the largest component serve all: a smaller table's slots
+    # are the masks' low slots, and bit i lacks in the same pattern there
+    lacking = _lacking(largest, width)[0]
+    lack_of = [lacking[i] for i in place]
+    shift_of = [width << i for i in place]
 
     def step(table: int, xs) -> int:
         new = table
         for x in xs:
-            new += (table & lacking[x]) << (width << x)
+            new += (table & lack_of[x]) << shift_of[x]
         return new
-    return width, pickers, step
+    return parts, place, width, step
 
 
 def _limbs(table: int, nbytes: int, limbs: int) -> list[list[int]]:
@@ -341,10 +383,17 @@ def _limbs(table: int, nbytes: int, limbs: int) -> list[list[int]]:
 
 
 def saturating_count(b: BipartiteGraph) -> int:
-    """Number of X-saturating matchings of b (0 when there is none), from a
-    DP over the Y-columns on packed tables; builds no engine."""
-    width, _pickers, step = _columns(b)
-    return reduce(step, b.adj_y, 1) >> width * ((1 << b.size_x) - 1)  # slot A = X
+    """Number of X-saturating matchings of b (0 when there is none): the
+    product of its components' counts, each from a DP over the
+    component's columns on packed tables; builds no engine."""
+    parts, _place, width, step = _columns(b)
+    count = 1
+    for xs, ys in parts:
+        table = reduce(step, map(b.adj_y.__getitem__, ys), 1)
+        count *= table >> width * ((1 << len(xs)) - 1)  # slot A = X_c
+        if not count:
+            break
+    return count
 
 
 def matching_marginals(b: BipartiteGraph) -> MarginalTable:
@@ -365,42 +414,82 @@ def matching_marginals(b: BipartiteGraph) -> MarginalTable:
 
 def _marginal_table(b: BipartiteGraph) -> MarginalTable | None:
     """The marginals of b, ell = |X| <= size_y, from one forward and one
-    backward sweep, or None when b has no X-saturating matching; the
-    table's total is that count.
+    backward sweep per component, or None when b has no X-saturating
+    matching; the table's total is that count. A matching of b is one
+    matching of each component, so the hits of a component's edges are
+    scaled by the product of the other components' totals."""
+    parts, place, width, step = _columns(b)
+    hits = [[0] * b.size_y for _ in range(b.size_x)]
+    totals = []
+    for xs, ys in parts:
+        totals.append(_component_hits(b.adj_y, xs, ys, place, width, step, hits))
+        if not totals[-1]:
+            return None
+    total = math.prod(totals)
+    for (xs, ys), part_total in zip(parts, totals):
+        if part_total != total:
+            scale = total // part_total
+            for x in xs:
+                row = hits[x]
+                for y in ys:
+                    row[y] *= scale
+    return MarginalTable(ell=b.size_x, hits=hits, total=total)
 
-    Only the columns with X-neighbours, j_first..j_last, hold hits. After
-    j_last the backward table is G = {empty: 1}, so hits[x][j_last] is the
-    one slot F_{j_last}(X - x). Every saturating matching pairs x with one
-    column, so a row sums to the total and hits[x][j_first] is what the
-    other columns leave of it. Only the inner columns take dot products.
+
+def _component_hits(adj_y, xs, ys, place, width, step, hits) -> int:
+    """Fill hits[x][y], for the x and y of one component, with the count of
+    the component's X-saturating matchings that pair x with y, and return
+    their total.
+
+    A table that has taken one column holds 1 at the empty set and at that
+    column's singletons, and one that has taken none holds 1 at the empty
+    set alone, so the hits of the last column and of the columns next to
+    either end are a few slots of the other table. Every saturating
+    matching pairs x with one column, so a row sums to the total and the
+    first column's hits are what the other columns leave of it. Only the
+    other inner columns take dot products, and a column with the
+    X-neighbours of one already done takes its hits: swapping the two
+    columns maps the matchings through one onto those through the other.
     """
-    ell = b.size_x
-    width, pickers, step = _columns(b)
-    full = (1 << ell) - 1
-    forward = list(accumulate(b.adj_y, step, initial=1))
+    cols = [adj_y[y] for y in ys]
+    full = (1 << len(xs)) - 1
+    forward = list(accumulate(cols, step, initial=1))
     total = forward[-1] >> width * full
     if not total:
-        return None
-    hits = [[0] * b.size_y for _ in range(ell)]
-    used = [j for j, xs in enumerate(b.adj_y) if xs]  # total > 0: at least one
-    first, last = used[0], used[-1]
-    slot = (1 << width) - 1
-    for x in b.adj_y[last]:
-        hits[x][last] = forward[last] >> width * (full ^ 1 << x) & slot
-    nbytes, limbs = width << ell >> 3, width >> 6
+        return 0
+    slot, last = (1 << width) - 1, len(cols) - 1
+
+    def read(table: int, ends, x: int) -> int:
+        # pair table(A) for A = X - x - S with S empty or a singleton of ends
+        rest = full ^ 1 << place[x]
+        return (table >> width * rest & slot) + sum(
+            table >> width * (rest ^ 1 << place[z]) & slot for z in ends if z != x)
+
+    for x in cols[last]:
+        hits[x][ys[last]] = read(forward[last], (), x)
+    nbytes, limbs = width << len(xs) >> 3, width >> 6
+    pickers = _lacking(len(xs), width)[1]
+    done = {cols[last]: ys[last]}  # X-neighbours -> the column whose hits are done
     after = 1  # G(empty) = 1
-    later = last  # the nearest column after j with X-neighbours
-    for j in reversed(used[1:-1]):
-        after = step(after, b.adj_y[later])
-        later, xs = j, b.adj_y[j]
-        f, g = _limbs(forward[j], nbytes, limbs), _limbs(after, nbytes, limbs)
-        for a, fa in enumerate(f):
-            for c, gc in enumerate(g):
-                for x in xs:
-                    # pair F(A) for A lacking x with G(X - A - x)
-                    up, down = pickers[x]
-                    hits[x][j] += sum(map(mul, up(fa), down(gc))) << 64 * (a + c)
-    if first != last:
-        for x in b.adj_y[first]:
-            hits[x][first] = total - sum(hits[x])
-    return MarginalTable(ell=ell, hits=hits, total=total)
+    for j in range(last - 1, 0, -1):
+        after = step(after, cols[j + 1])
+        y, twin = ys[j], done.setdefault(cols[j], ys[j])
+        if twin != y:
+            for x in cols[j]:
+                hits[x][y] = hits[x][twin]
+        elif j == last - 1 or j == 1:
+            table, ends = (forward[j], cols[last]) if j == last - 1 else (after, cols[0])
+            for x in cols[j]:
+                hits[x][y] = read(table, ends, x)
+        else:
+            f, g = _limbs(forward[j], nbytes, limbs), _limbs(after, nbytes, limbs)
+            for a, fa in enumerate(f):
+                for c, gc in enumerate(g):
+                    for x in cols[j]:
+                        # pair F(A) for A lacking x with G(X - A - x)
+                        up, down = pickers[place[x]]
+                        hits[x][y] += sum(map(mul, up(fa), down(gc))) << 64 * (a + c)
+    if last:
+        for x in cols[0]:
+            hits[x][ys[0]] = total - sum(hits[x])
+    return total

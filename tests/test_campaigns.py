@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -126,9 +128,26 @@ class TestConfigRules:
 
     @pytest.mark.parametrize("base", [UMC, GEN, {**GEN, "conjecture": "wild"}])
     def test_flags_not_given_read_their_defaults(self, base):
-        # a report states the edge probability and phi reading it ran with
+        # the fields keep what was given; a report states the edge
+        # probability and phi reading it ran with
         cfg = CampaignConfig(**base)
-        assert (cfg.edge_prob, cfg.phi_interp) == (0.5, "gamma")
+        assert (cfg.edge_prob, cfg.phi_interp) == (None, None)
+        assert (cfg.draw_prob, cfg.phi_reading) == (0.5, "gamma")
+        doc = cfg.to_json_dict()
+        assert (doc["edgeProb"], doc["phiInterp"]) == (0.5, "gamma")
+
+    @pytest.mark.parametrize("base", [
+        UMC, {**UMC, "ell_values": [1, 2]},
+        GEN, {**GEN, "edge_prob": 0.7},
+        {**GEN, "conjecture": "wild"}, {**GEN, "conjecture": "wild", "phi_interp": "literal"},
+    ])
+    def test_replace_round_trip(self, base):
+        # a copy passes the rules its original passed, with the same values
+        cfg = CampaignConfig(**base)
+        copy = dataclasses.replace(cfg, samples=2)
+        assert copy == dataclasses.replace(cfg, samples=2) != cfg
+        assert dataclasses.replace(copy, samples=cfg.samples) == cfg
+        assert {**copy.to_json_dict(), "samples": cfg.samples} == cfg.to_json_dict()
 
     @pytest.mark.parametrize("base, change, n", [
         (UMC, {}, 8),
@@ -210,22 +229,32 @@ class TestGenmincCampaign:
                     assert _sharp_family(ell, m, limit) == eager[:limit]
 
     def test_sharp_family_walks_only_what_it_takes(self):
-        # the eager walk listed all p(70) ~ 4e6 partitions of 140 into even parts
+        # the eager walk listed all p(70) ~ 4e6 partitions of 140 into even
+        # parts; the first member, 70 copies of K_{2,3}, counts at once
+        start = time.perf_counter()
         fam = _sharp_family(140, 210, limit=1)
         assert [b.degrees_x for b in fam] == [[3] * 140]
+        assert saturating_count(fam[0]) == math.perm(3, 2) ** 70
         cfg = CampaignConfig(conjecture="genminc", samples=1, seed=0, ell=140,
                              size_y=210, family="sharp")
-        with pytest.raises(CapExceeded, match="column state cap"):
-            run_campaign(cfg)
+        rep = run_campaign(cfg)
+        assert rep.instances == 1 and not rep.violations
+        assert abs(rep.worst_slack_bits[0]) < 1e-9  # the bound is exact on the family
+        assert time.perf_counter() - start < 30
 
     def test_sharp_family_walks_long_partitions(self):
-        # the first partition of 1200 has 1200 parts: deeper than the recursion limit
+        # the first partition of 1200 has 1200 parts: deeper than the
+        # recursion limit; its member is 1200 disjoint edges, one matching
+        start = time.perf_counter()
         fam = _sharp_family(1200, 1200, 1)
         assert len(fam) == 1 and fam[0].num_edges == 1200
+        assert saturating_count(fam[0]) == 1
         cfg = CampaignConfig(conjecture="genminc", samples=1, seed=0, ell=1200,
                              size_y=1200, family="sharp")
-        with pytest.raises(CapExceeded, match="column state cap"):
-            run_campaign(cfg)
+        rep = run_campaign(cfg)
+        assert rep.instances == 1 and not rep.violations
+        assert abs(rep.worst_slack_bits[0]) < 1e-9
+        assert time.perf_counter() - start < 30
 
     def test_square_family_reduces_to_bregman(self):
         for inst in _sharp_family(3, 3, limit=10):

@@ -17,7 +17,7 @@ from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
                         umc_extremal_profile)
 from matchbound.campaigns import _sharp_family
 from matchbound.cli import main
-from matchbound.counting import _marginal_table
+from matchbound.counting import _columns, _marginal_table
 from oracles import (cycle_profile, disjoint_union, kdd_count, marginal_hits_by_dicts,
                      matching_profile_bruteforce, matchings_by_subsets, random_graph,
                      saturating_count_by_dicts)
@@ -333,6 +333,18 @@ class TestColumnDP:
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert saturating_count(b) == math.factorial(6)
 
+    def test_connected_input_refused_with_a_power(self, tmp_path, monkeypatch, capsys):
+        # a path is one component: its 2^1200 slots are refused, and the
+        # message states them as a power, not as 362 digits
+        monkeypatch.delenv("MATCHBOUND_STATE_CAP", raising=False)
+        path = tmp_path / "path.bip"
+        path.write_text("B 1200 1201 2400\n" + "".join(
+            f"{x} {x}\n{x} {x + 1}\n" for x in range(1200)))
+        assert main(["marginals", "--graph", str(path), "--ell", "1200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err) < 200
+        assert "column state cap of 1048576 exceeded: 2^1200 states at column 0 of 1201" in err
+
 
 @st.composite
 def column_instances(draw):
@@ -427,6 +439,110 @@ class TestColumnDPOracle:
         _ = read_first.p
         assert read_first.to_json_dict() == matching_marginals(b).to_json_dict()
         assert json.dumps(read_first.to_json_dict()) == json.dumps(table.to_json_dict())
+
+
+@st.composite
+def sparse_instances(draw):
+    """Bipartite graphs with at most |X| + |Y| edges: isolated columns and
+    X-vertices, several components, some with |X_c| > |Y_c|."""
+    size_x, size_y = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    edges = draw(st.sets(st.tuples(st.integers(0, size_x - 1), st.integers(0, size_y - 1)),
+                         max_size=size_x + size_y))
+    return BipartiteGraph(size_x, size_y, edges)
+
+
+def low_prob_draws():
+    """Seeded draws at low edge probabilities, as a campaign's --edge-prob draws them."""
+    rng = random.Random(24)
+    for _ in range(400):
+        ell, m, p = rng.randint(1, 7), rng.randint(1, 10), rng.choice([0.1, 0.2, 0.3])
+        yield BipartiteGraph(ell, m, [(x, y) for x in range(ell) for y in range(m)
+                                      if rng.random() < p])
+
+
+def check_against_oracles(b):
+    """Count and marginals of b against the dict-keyed column DP of oracles.py."""
+    assert saturating_count(b) == saturating_count_by_dicts(b)
+    if b.size_x <= b.size_y:
+        hits, total = marginal_hits_by_dicts(b)
+        found = _marginal_table(b)
+        if total:
+            assert (found.hits, found.total) == (hits, total)
+        else:
+            assert found is None
+
+
+class TestComponents:
+    """Each connected component runs its own column DP: counts multiply and
+    a component's hits scale by the other components' totals."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(BipartiteGraph(3, 4, [(0, 0), (1, 0), (2, 2)]))  # |X_c| > |Y_c|
+    @example(BipartiteGraph(2, 5, [(0, 1), (1, 3)]))  # isolated columns around
+    @example(BipartiteGraph(4, 4, [(0, 0), (1, 0), (1, 1), (2, 3), (3, 3), (3, 2)]))
+    @given(sparse_instances())
+    def test_sparse(self, b):
+        check_against_oracles(b)
+
+    def test_low_edge_probability(self):
+        seen = dict.fromkeys(["split", "whole", "|X_c| > |Y_c|", "isolated column",
+                              "saturating", "not saturating"], 0)
+        for b in low_prob_draws():
+            check_against_oracles(b)
+            parts = _columns(b)[0]
+            seen["split" if len(parts) > 1 else "whole"] += 1
+            seen["|X_c| > |Y_c|"] += any(len(xs) > len(ys) for xs, ys, *_ in parts)
+            seen["isolated column"] += sum(len(ys) for _xs, ys, *_ in parts) < b.size_y
+            seen["saturating" if saturating_count(b) else "not saturating"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("ell, m", [(8, 12), (6, 9), (12, 18), (10, 15), (22, 33),
+                                        (40, 60), (40, 40), (30, 45), (36, 48)])
+    def test_sharp_families(self, ell, m):
+        # each block K_{a, a*M/ell} of a member multiplies the count by
+        # perm(a*M/ell, a), and x meets its block's columns uniformly
+        for b in _sharp_family(ell, m, limit=12):
+            table = matching_marginals(b)
+            count = 1
+            for x, ys in enumerate(b.adj_x):
+                a = b.adj_x.count(ys)
+                assert len(ys) * ell == a * m
+                assert table.p[x] == [Fraction(1, len(ys)) if y in ys else 0 for y in range(m)]
+                if x == 0 or b.adj_x[x - 1] != ys:  # first x of its block
+                    count *= math.perm(len(ys), a)
+            assert saturating_count(b) == table.total == count
+
+    def test_state_cap_reads_the_largest_component(self, monkeypatch):
+        # K_{2,2} + K_{3,3}: 2^3 slots at most, where the whole X has 2^5
+        b = BipartiteGraph(5, 5, [(x, y) for x in range(2) for y in range(2)]
+                           + [(x, y) for x in range(2, 5) for y in range(2, 5)])
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "8")
+        assert saturating_count(b) == 2 * 6
+        assert matching_marginals(b).total == 12
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "7")
+        message = ("column state cap of 7 exceeded: 2^3 states at column 0 of 5; "
+                   "raise it with MATCHBOUND_STATE_CAP")
+        for count in (saturating_count, matching_marginals):
+            with pytest.raises(CapExceeded) as info:
+                count(b)
+            assert str(info.value) == message
+
+    def test_slot_width_from_the_widest_component(self):
+        # K_{1,1} first, then K_{9,300} less a few edges, whose slots for
+        # 8 of its X-vertices pass 2^64: every table takes the wider slots
+        missing = {(x, 7 * x % 300) for x in range(9)}
+        b = BipartiteGraph(10, 301, [(0, 0)] + [(1 + x, 1 + y) for x in range(9)
+                                                for y in range(300) if (x, y) not in missing])
+        assert math.perm(299, 8) >= 1 << 64
+        check_against_oracles(b)
+
+    def test_many_components_past_the_whole_table_cap(self):
+        # 21 disjoint edges: 2^21 slots for the whole X, 2 per component
+        b = BipartiteGraph(21, 21, [(x, x) for x in range(21)])
+        assert saturating_count(b) == 1
+        table = matching_marginals(b)
+        assert table.total == 1
+        assert table.p == [[Fraction(int(x == y)) for y in range(21)] for x in range(21)]
 
 
 class TestRecordedColumnDP:
