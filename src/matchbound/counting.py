@@ -23,6 +23,14 @@ DEFAULT_STATE_CAP = 1 << 20
 # the readings of bounds.phi_wild's second term, the first the default; stated
 # here, not in bounds, so that the CLI builds its parser without loading bounds
 PHI_READINGS = ("gamma", "literal")
+# The widest slot, in bits, for which MaskProfiler sweeps a packed table. A
+# packed table pays for every zero coefficient of every slot, where a dict
+# holds only the live states. Packed sweeps took, against dict sweeps of the
+# same plan (2 vCPUs, Python 3.11.7): 0.55-0.79 times as long on every shape
+# tried with W <= 512, 0.55-0.94 at W = 576-768, 0.95-1.08 at W = 896 and
+# 1.56 at W = 1152 (four relabelled K_{4,4}). The limit keeps a margin below
+# that crossover and admits the umc graphs, N = 24 and d = 3, at W = 512.
+PACKED_WIDTH_LIMIT = 512
 
 
 def _state_cap() -> int:
@@ -51,16 +59,23 @@ class MaskProfiler:
     k-subsets of E, so it is at most 2^|E| < 2^B and additions never carry
     between coefficients. Matching one more edge is a shift by B.
 
-    The number of live states is capped by MATCHBOUND_STATE_CAP; `memo` is
-    a range as long as the widest frontier table of the last sweep.
+    A graph whose polynomials fit in slots of W <= PACKED_WIDTH_LIMIT bits,
+    W = 64 * ceil((floor(n/2) + 1) * B / 64), sweeps one int of 2^top W-bit
+    slots instead, slot `key` at bits [key*W, (key+1)*W), where top is the
+    bit length of the widest slot bit; each step is a few whole-table shifts.
+
+    MATCHBOUND_STATE_CAP caps the live states of a dict sweep and the slots
+    of a packed one, checked before its sweep; `memo` is a range as long as
+    the widest dict table of the last sweep, or the packed table's slots.
     """
 
-    __slots__ = ("n", "shift", "plan", "cap", "memo")
+    __slots__ = ("n", "shift", "width", "plan", "cap", "memo")
 
     def __init__(self, g: Graph):
         adj = g.adj
         self.n = g.n
         self.shift = g.num_edges + 1
+        self.width = 64 * (((g.n // 2 + 1) * self.shift + 63) // 64)
         self.cap = _state_cap()
         self.memo = range(1)
         # per step: (slot bit of v or 0, slot bits of its placed neighbours, keep mask)
@@ -103,6 +118,14 @@ class MaskProfiler:
 
     def profile(self) -> list[int]:
         """[count of 0-matchings, ..., count of floor(n/2)-matchings]."""
+        shift, n = self.shift, self.n
+        packed = self._packed_sweep() if self.width <= PACKED_WIDTH_LIMIT else self._dict_sweep()
+        mask = (1 << shift) - 1
+        return [(packed >> (k * shift)) & mask for k in range(n // 2 + 1)]
+
+    def _dict_sweep(self) -> int:
+        """The polynomial of the whole graph from a sweep over a dict of the
+        live states."""
         shift, cap, n = self.shift, self.cap, self.n
         table, self.memo = {0: 1}, range(1)
         for i, (vbit, ubits, keep) in enumerate(self.plan):
@@ -125,8 +148,45 @@ class MaskProfiler:
             if len(new) > len(self.memo):
                 self.memo = range(len(new))
             table = new
-        packed, mask = table[0], (1 << shift) - 1
-        return [(packed >> (k * shift)) & mask for k in range(n // 2 + 1)]
+        return table[0]
+
+    def _packed_sweep(self) -> int:
+        """The polynomial of the whole graph from a sweep over one int of
+        2^top slots of `width` bits, whose slot count is checked against the
+        cap before any table is built. The matched moves through u are the
+        slots holding u's bit, shifted down onto the slots lacking it; a
+        leaving vertex's slots fold onto those lacking its bit; the unmatched
+        moves shift the table up by v's slot bit. Folding commutes with that
+        shift unless v takes the slot of a vertex leaving at the same step."""
+        plan, shift, width, cap = self.plan, self.shift, self.width, self.cap
+        top = max(vbit for vbit, _ubits, _keep in plan).bit_length()
+        if 1 << top > cap:
+            step = next(i for i, (vbit, _ubits, _keep) in enumerate(plan) if vbit >> top - 1)
+            raise CapExceeded(
+                f"frontier state cap of {cap} exceeded: {1 << top} states at "
+                f"sweep step {step + 1} of {self.n}; raise it with {STATE_CAP_ENV}")
+        self.memo = range(1 << top)
+        lack = _lacking(top, width)
+
+        def fold(table: int, done: int) -> int:
+            while done:  # the highest bit first, which halves the table soonest
+                x = done.bit_length() - 1
+                done ^= 1 << x
+                table = (table & lack[x]) + (table >> (width << x) & lack[x])
+            return table
+
+        table = 1
+        for vbit, ubits, keep in plan:
+            moved = 0
+            for ub in ubits:
+                moved += table >> width * ub & lack[ub.bit_length() - 1]
+            if vbit & ~keep:
+                table = (fold(table, ~keep) << width * vbit) + (fold(moved, ~keep) << shift)
+            else:
+                table = (table << width * vbit) + (moved << shift)
+                if keep != -1:
+                    table = fold(table, ~keep)
+        return table
 
 
 def matching_profile(g: Graph) -> list[int]:
@@ -295,20 +355,30 @@ def entropy_bits(probs) -> float:
 # last one down.
 
 @lru_cache(maxsize=16)
-def _lacking(size_x: int, width: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Per bit x of a slot index, the table mask of the slots whose index
-    lacks bit x, and two getters that take those slots from a list of
-    slots, in ascending and in descending index order. Slot A lacking x
-    meets slot X - A - x, and as A ascends over the slots lacking x,
-    X - A - x descends over the same slots."""
-    masks, pickers = [], []
-    for x in range(size_x):
+def _lacking(size: int, width: int) -> tuple[int, ...]:
+    """Per bit x of a slot index, the mask of a table of 2^size slots of
+    `width` bits that keeps the slots whose index lacks bit x. A mask also
+    serves a table of fewer slots, whose slots are its low ones."""
+    masks = []
+    for x in range(size):
         run = width << x >> 3  # bytes: 2^x slots lack x, then 2^x slots have it
         block = b"\xff" * run + bytes(run)
-        masks.append(int.from_bytes(block * (1 << (size_x - x - 1)), "little"))
-        lack = [i for i in range(1 << size_x) if not i >> x & 1]
+        masks.append(int.from_bytes(block * (1 << (size - x - 1)), "little"))
+    return tuple(masks)
+
+
+@lru_cache(maxsize=16)
+def _pickers(size: int) -> tuple[tuple, ...]:
+    """Per bit x of a slot index, two getters that take the slots whose
+    index lacks bit x from a list of 2^size slots, in ascending and in
+    descending index order. Slot A lacking x meets slot X - A - x, and as A
+    ascends over the slots lacking x, X - A - x descends over the same
+    slots."""
+    pickers = []
+    for x in range(size):
+        lack = [i for i in range(1 << size) if not i >> x & 1]
         pickers.append((_getter(lack), _getter(lack[::-1])))
-    return tuple(masks), tuple(pickers)
+    return tuple(pickers)
 
 
 def _getter(idx: list[int]):
@@ -361,7 +431,7 @@ def _columns(b: BipartiteGraph):
     width = 64 * ((max(most, 1).bit_length() + 63) // 64)
     # the masks for the largest component serve all: a smaller table's slots
     # are the masks' low slots, and bit i lacks in the same pattern there
-    lacking = _lacking(largest, width)[0]
+    lacking = _lacking(largest, width)
     lack_of = [lacking[i] for i in place]
     shift_of = [width << i for i in place]
 
@@ -468,7 +538,7 @@ def _component_hits(adj_y, xs, ys, place, width, step, hits) -> int:
     for x in cols[last]:
         hits[x][ys[last]] = read(forward[last], (), x)
     nbytes, limbs = width << len(xs) >> 3, width >> 6
-    pickers = _lacking(len(xs), width)[1]
+    pickers = _pickers(len(xs))
     done = {cols[last]: ys[last]}  # X-neighbours -> the column whose hits are done
     after = 1  # G(empty) = 1
     for j in range(last - 1, 0, -1):

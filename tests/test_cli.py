@@ -359,6 +359,19 @@ class TestExitCodes:
         monkeypatch.delenv("MATCHBOUND_STATE_CAP")
         assert main(["count", "--graph", str(path)]) == 0
 
+    def test_packed_table_slots_capped(self, tmp_path, monkeypatch, capsys):
+        # K_{4,4} sweeps a packed table of 2^5 slots, refused below 32
+        path = tmp_path / "k44.edges"
+        path.write_text(emit_edge_list(complete_bipartite(4, 4).to_graph()))
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "31")
+        assert main(["count", "--graph", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "infeasible: frontier state cap of 31 exceeded: 32 states at sweep step 5 of 8; "
+            "raise it with MATCHBOUND_STATE_CAP\n"))
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "32")
+        assert main(["count", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "4 24"
+
     def test_marginals_state_cap(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "k66.bip"
         path.write_text(emit_bipartite(complete_bipartite(6, 6)))

@@ -17,6 +17,7 @@ from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
                         umc_extremal_profile)
 from matchbound.campaigns import _sharp_family
 from matchbound.cli import main
+from matchbound import counting
 from matchbound.counting import _columns, _marginal_table
 from oracles import (cycle_profile, disjoint_union, kdd_count, marginal_hits_by_dicts,
                      matching_profile_bruteforce, matchings_by_subsets, random_graph,
@@ -24,6 +25,10 @@ from oracles import (cycle_profile, disjoint_union, kdd_count, marginal_hits_by_
 
 # campaign reports and marginals recorded from the dict-keyed column DP
 CORPUS = json.loads((Path(__file__).parent / "data" / "column_dp_reports.json").read_text())
+
+
+def refuse_pickers(size):
+    pytest.fail(f"built the slot pickers of a {size}-vertex component")
 
 
 class TestMatchingProfile:
@@ -535,6 +540,26 @@ class TestComponents:
                                                 for y in range(300) if (x, y) not in missing])
         assert math.perm(299, 8) >= 1 << 64
         check_against_oracles(b)
+
+    def test_count_builds_no_picker(self, monkeypatch):
+        # a cold count on one component of 14 X-vertices builds the slot
+        # masks alone (14 of 2^14 64-bit slots, 1.75 MiB); the pickers of
+        # the marginals' dot products would hold about 7 MiB more
+        rng = random.Random(14)
+        edges = {(x, y) for x in range(14) for y in range(21) if rng.random() < 0.3}
+        b = BipartiteGraph(14, 21, edges | {(x, x) for x in range(14)}
+                           | {(x, x + 1) for x in range(14)})
+        assert len(_columns(b)[0]) == 1
+        monkeypatch.setattr(counting, "_pickers", refuse_pickers)
+        counting._lacking.cache_clear()
+        tracemalloc.start()
+        try:
+            count = saturating_count(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == saturating_count_by_dicts(b)
+        assert peak < 3 << 20
 
     def test_many_components_past_the_whole_table_cap(self):
         # 21 disjoint edges: 2^21 slots for the whole X, 2 per component

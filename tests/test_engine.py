@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchbound import (BipartiteGraph, Graph, complete_bipartite, cycle_graph,
-                        matching_marginals, matching_profile, parse_graph6,
-                        random_regular, saturating_count, umc_extremal_profile)
+from matchbound import (BipartiteGraph, CapExceeded, Graph, complete_bipartite,
+                        counting, cycle_graph, kdd_profile, matching_marginals,
+                        matching_profile, parse_graph6, random_regular, saturating_count,
+                        umc_extremal_profile)
 from matchbound.counting import MaskProfiler
 from oracles import (cycle_profile, disjoint_union, greedy_plan,
                      matching_profile_bruteforce)
@@ -157,16 +158,18 @@ class TestPackingBoundaries:
 
 
 class TestPeakStates:
-    """len(engine.memo) is the peak state count of the last sweep, which the
-    benchmark's traced counting.states sums; the values were read when memo
-    still held the widest table itself."""
+    """len(engine.memo) is the peak state count of the last dict sweep, or
+    the 2^top slots of the last packed table, which the benchmark's traced
+    counting.states sums. The dict sweeps' values (C_100, the cubic n = 32
+    graph) were read when memo still held the widest table itself; the other
+    graphs have slots of at most 512 bits and sweep a packed table."""
 
     @pytest.mark.parametrize("graph, peak", [
         (cycle_graph(100), 4),
         (random_regular(18, 4, 0), 64),
-        (random_regular(22, 3, 1), 56),
+        (random_regular(22, 3, 1), 64),
         (random_regular(32, 3, 2), 112),
-        (complete_bipartite(4, 4).to_graph(), 15),
+        (complete_bipartite(4, 4).to_graph(), 32),
         (Graph(5), 1),
     ])
     def test_recorded_peak(self, graph, peak):
@@ -175,6 +178,100 @@ class TestPeakStates:
         for _ in range(2):  # each sweep starts its count afresh
             engine.profile()
             assert len(engine.memo) == peak
+
+
+def relabelled_kdd_union(d: int, copies: int, seed: int) -> Graph:
+    g = disjoint_union([complete_bipartite(d, d).to_graph()] * copies)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def refuse(*_args):
+    pytest.fail("this path must not run")
+
+
+class TestTableKinds:
+    """profile sweeps one packed int when the slot width W is at most
+    counting.PACKED_WIDTH_LIMIT bits and a dict of the live states above
+    it; both sweeps give the same polynomial on every graph."""
+
+    @pytest.mark.parametrize("limit", [0, 1 << 20], ids=["dict", "packed"])
+    def test_recorded_profiles_on_either_path(self, monkeypatch, limit):
+        monkeypatch.setattr(counting, "PACKED_WIDTH_LIMIT", limit)
+        for entry in GOLDEN["graphs"]:
+            assert [str(c) for c in matching_profile(parse_graph6(entry["graph6"]))] == \
+                entry["counts"], entry["name"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    @example(complete_bipartite(4, 4).to_graph())  # v takes a leaving neighbour's slot
+    def test_sweeps_agree_on_small_graphs(self, g):
+        engine = MaskProfiler(g)
+        assert engine._packed_sweep() == engine._dict_sweep()
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs())
+    def test_sweeps_agree_on_sparse_graphs(self, g):
+        engine = MaskProfiler(g)
+        assert engine._packed_sweep() == engine._dict_sweep()
+
+    @pytest.mark.parametrize("graph, profile, width", [
+        (relabelled_kdd_union(3, 3, 1), umc_extremal_profile(18, 3), 320),
+        (relabelled_kdd_union(3, 4, 2), umc_extremal_profile(24, 3), 512),
+        (relabelled_kdd_union(4, 2, 3), umc_extremal_profile(16, 4), 320),
+        (relabelled_kdd_union(4, 3, 4), umc_extremal_profile(24, 4), 640),
+        (relabelled_kdd_union(4, 4, 0), umc_extremal_profile(32, 4), 1152),
+        (Graph(30, random.Random(30).sample(list(itertools.combinations(range(30), 2)), 30)),
+         None, 512),
+        (Graph(12, list(itertools.combinations(range(12), 2))),
+         [math.comb(12, 2 * k) * math.prod(range(2 * k - 1, 0, -2)) for k in range(7)], 512),
+        (Graph(31, [(0, v) for v in range(1, 31)]), [1, 30] + [0] * 14, 512),
+        (cycle_graph(30), cycle_profile(30), 512),
+        (random_regular(24, 3, 0), None, 512),
+        (random_regular(26, 3, 0), None, 576),
+        (random_regular(22, 4, 0), None, 576),
+        (random_regular(32, 3, 2), None, 896),
+    ], ids=["3xK33", "4xK33", "2xK44", "3xK44", "4xK44", "G30_30", "K12", "star", "C30",
+            "cubic24", "cubic26", "quartic22", "cubic32"])
+    def test_sweeps_agree_on_both_sides_of_the_rule(self, graph, profile, width):
+        engine = MaskProfiler(graph)
+        assert engine.width == width
+        packed = engine._packed_sweep()
+        assert packed == engine._dict_sweep()
+        if profile is not None:
+            assert engine.profile() == profile
+
+    def test_width_512_sweeps_packed(self, monkeypatch):
+        engine = MaskProfiler(random_regular(24, 3, 0))  # (12 + 1)(36 + 1) = 481 bits
+        assert engine.width == counting.PACKED_WIDTH_LIMIT == 512
+        expected = engine.profile()
+        monkeypatch.setattr(MaskProfiler, "_dict_sweep", refuse)
+        assert engine.profile() == expected
+
+    def test_width_576_sweeps_dict(self, monkeypatch):
+        engine = MaskProfiler(random_regular(26, 3, 0))  # (13 + 1)(39 + 1) = 560 bits
+        assert engine.width == 576
+        expected = engine.profile()
+        monkeypatch.setattr(MaskProfiler, "_packed_sweep", refuse)
+        assert engine.profile() == expected
+
+    def test_state_cap_counts_slots_before_the_sweep(self, monkeypatch):
+        # K_{4,4} sweeps 2^5 slots; its fifth vertex takes slot bit 16
+        g = complete_bipartite(4, 4).to_graph()
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "31")
+        engine = MaskProfiler(g)
+        monkeypatch.setattr(counting, "_lacking", refuse)  # no table is built
+        with pytest.raises(CapExceeded) as refused:
+            engine.profile()
+        assert str(refused.value) == (
+            "frontier state cap of 31 exceeded: 32 states at sweep step 5 of 8; "
+            "raise it with MATCHBOUND_STATE_CAP")
+        monkeypatch.undo()
+        monkeypatch.setenv("MATCHBOUND_STATE_CAP", "32")
+        engine = MaskProfiler(g)
+        assert engine.profile() == kdd_profile(4)
+        assert engine.memo == range(32)
 
 
 class TestBeyond64Vertices:
